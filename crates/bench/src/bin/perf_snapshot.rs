@@ -73,10 +73,6 @@ fn main() {
     let counters0 = CounterSnapshot::take();
     trace::enable();
     trace::reset();
-    if aerothermo_bench::cli::no_metrics() {
-        metrics::disable();
-    }
-    metrics::reset_all();
 
     run_suite();
 
@@ -130,35 +126,13 @@ fn main() {
         ));
     }
     s.push_str("\n  },\n");
-    // Sampled timing histograms from the metrics registry. Schema-additive:
-    // the ratchet comparator reads only calibration_ns/spans, so these
-    // quantiles inform without gating.
-    let msnap = metrics::snapshot();
-    s.push_str("  \"metrics_timings\": {");
-    let mut first = true;
-    for t in &msnap.timings {
-        if t.calls == 0 {
-            continue;
-        }
-        if !first {
-            s.push(',');
-        }
-        first = false;
-        s.push_str(&format!(
-            "\n    \"{}\": {{\"calls\": {}, \"samples\": {}, \"p50_ns\": {}, \
-             \"p90_ns\": {}, \"p95_ns\": {}, \"p99_ns\": {}, \"mean_ns\": {}, \"max_ns\": {}}}",
-            t.timer.name(),
-            t.calls,
-            t.hist.count,
-            t.hist.quantile_ns(0.50),
-            t.hist.quantile_ns(0.90),
-            t.hist.quantile_ns(0.95),
-            t.hist.quantile_ns(0.99),
-            t.hist.mean_ns(),
-            t.hist.max_ns
-        ));
-    }
-    s.push_str("\n  },\n");
+    // The same spans' duration quantiles. Schema-additive: the ratchet
+    // comparator reads only calibration_ns/spans, so these inform without
+    // gating.
+    s.push_str(&format!(
+        "  \"metrics_timings\": {},\n",
+        metrics::timings_json(&stats)
+    ));
     s.push_str("  \"counters\": {");
     for (k, (name, v)) in counters.iter().enumerate() {
         if k > 0 {

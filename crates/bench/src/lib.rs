@@ -102,9 +102,6 @@ impl Report {
         if let Some(every) = audit_cadence() {
             aerothermo_solvers::audit::enable(every);
         }
-        if cli::no_metrics() {
-            aerothermo_numerics::metrics::disable();
-        }
         Self {
             figure: figure.to_string(),
             started: Instant::now(),
@@ -220,35 +217,12 @@ impl Report {
             s.push_str(&format!("\n    {}: {}", json_string(name), json_f64(*v)));
         }
         s.push_str("\n  },\n");
-        // Sampled timing histograms from the metrics registry (all shards
-        // merged); only timers with data appear — a call count from `time`
-        // guards or samples from explicit `record_duration_ns`. Durations
-        // in ns.
-        let msnap = aerothermo_numerics::metrics::snapshot();
-        s.push_str("  \"timings\": {");
-        let mut first = true;
-        for t in &msnap.timings {
-            if t.calls == 0 && t.hist.count == 0 {
-                continue;
-            }
-            if !first {
-                s.push(',');
-            }
-            first = false;
-            let (p50, p90, p99) = t.quantiles_ns();
-            s.push_str(&format!(
-                "\n    {}: {{\"calls\": {}, \"samples\": {}, \"p50_ns\": {p50}, \
-                 \"p90_ns\": {p90}, \"p99_ns\": {p99}, \"mean_ns\": {}, \"max_ns\": {}, \
-                 \"total_ns\": {}}}",
-                json_string(t.timer.name()),
-                t.calls,
-                t.hist.count,
-                t.hist.mean_ns(),
-                t.hist.max_ns,
-                t.hist.sum_ns
-            ));
-        }
-        s.push_str("\n  },\n");
+        // Every span label's call count and duration histogram (all
+        // threads merged, ns).
+        s.push_str(&format!(
+            "  \"timings\": {},\n",
+            aerothermo_numerics::metrics::timings_json(&aerothermo_numerics::trace::stats())
+        ));
         s.push_str("  \"phases\": {");
         for (k, (name, v)) in self.phases.iter().enumerate() {
             if k > 0 {
@@ -443,14 +417,12 @@ mod tests {
         assert!(!r.check("quoted \"name\"", false, "line\nbreak"));
         r.histories
             .push(("res".to_string(), vec![1.0, 0.5, f64::INFINITY]));
-        aerothermo_numerics::metrics::record_duration_ns(
-            aerothermo_numerics::metrics::Timer::EulerStep,
-            1_000,
-        );
+        aerothermo_numerics::trace::spanned("report_test_kernel", || std::hint::black_box(1));
         let json = r.to_json();
         assert!(json.contains("\"figure\": \"test_fig\""));
         assert!(json.contains("\"timings\""));
         assert!(json.contains("\"p50_ns\""));
+        assert!(json.contains("\"report_test_kernel\""));
         assert!(json.contains("\"all_green\": false"));
         assert!(json.contains("\"bad\": null"));
         assert!(json.contains("\\\"name\\\""));

@@ -611,9 +611,6 @@ impl EquilibriumGas {
             1,
         );
         let _sp = aerothermo_numerics::trace::span("equilibrium_state");
-        let _mt = aerothermo_numerics::metrics::time(
-            aerothermo_numerics::metrics::Timer::EquilibriumNewton,
-        );
         let ns = self.mix.len();
         // Borrow-juggle the φ buffer out of the scratch so the scratch can
         // still be lent to the Newton attempts below.

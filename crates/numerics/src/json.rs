@@ -150,15 +150,23 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so without a cap a line of `[`s overflows the stack and
+/// aborts the process; every document the workspace writes nests a
+/// handful of levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse a complete JSON document (trailing whitespace allowed, trailing
 /// garbage rejected).
 ///
 /// # Errors
-/// Returns a [`ParseError`] with a byte offset on any grammar violation.
+/// Returns a [`ParseError`] with a byte offset on any grammar violation,
+/// or when arrays/objects nest deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -172,6 +180,8 @@ pub fn parse(input: &str) -> Result<Value, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -212,8 +222,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::String(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -221,6 +231,21 @@ impl Parser<'_> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parse one array or object one level deeper, refusing past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        f: fn(&mut Self) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Value, ParseError> {
@@ -408,6 +433,26 @@ mod tests {
         let err = parse("[1, @]").unwrap_err();
         assert_eq!(err.offset, 4);
         assert!(err.to_string().contains("byte 4"));
+    }
+
+    #[test]
+    fn nesting_at_the_depth_cap_parses() {
+        let doc = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&doc).is_ok());
+        let obj = format!("{}1{}", "{\"a\": ".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(parse(&obj).is_ok());
+        let over = format!("[{doc}]");
+        let err = parse(&over).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert!(err.message.contains("nesting"), "{err}");
+    }
+
+    #[test]
+    fn hundred_thousand_open_brackets_are_an_error_not_an_abort() {
+        let err = parse(&"[".repeat(100_000)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        let err = parse(&"{\"k\": ".repeat(100_000)).unwrap_err();
+        assert!(err.message.contains("nesting"), "{err}");
     }
 
     #[test]

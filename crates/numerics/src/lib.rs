@@ -20,11 +20,12 @@
 //! * [`telemetry`] — solver observability: kernel counters, phase timers,
 //!   residual monitors with divergence detection, physics-audit findings,
 //!   and the shared [`telemetry::SolverError`] type,
-//! * [`trace`] — RAII hierarchical span profiler with Chrome trace-event
-//!   export (`chrome://tracing` / Perfetto),
-//! * [`metrics`] — typed gauge and log-bucketed timing-histogram registry
-//!   with p50/p90/p99 summaries, JSON snapshots, and Prometheus-style
-//!   text exposition.
+//! * [`trace`] — RAII hierarchical span profiler, the one timing
+//!   primitive: per-label call counts and duration histograms, plus an
+//!   opt-in Chrome trace-event timeline (`chrome://tracing` / Perfetto),
+//! * [`metrics`] — gauges and the log-bucketed timing histogram with
+//!   p50/p90/p99 summaries, JSON snapshots, and Prometheus-style text
+//!   exposition of spans, gauges and counters.
 //!
 //! Everything is `f64`; the structured-grid solvers in `aerothermo-solvers`
 //! are written against these primitives rather than an external array crate so

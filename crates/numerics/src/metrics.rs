@@ -1,17 +1,14 @@
-//! Typed metrics registry: gauges and log-bucketed timing histograms with
-//! thread-local shards, plus unified JSON / Prometheus-style exposition.
+//! Typed metrics: gauges and the log-bucketed timing histogram, plus the
+//! unified JSON / Prometheus-style exposition of every metric type.
 //!
-//! Where [`crate::telemetry::counters`] counts *how much work* ran and
-//! [`crate::trace`] records *where the time went* as min/mean/max span
-//! aggregates, this module answers distribution questions — "what is the
-//! p99 of an `euler_step` right now?" — the way a serving daemon must:
+//! Where [`crate::telemetry::counters`] counts *how much work* ran, the
+//! timings answer distribution questions — "what is the p99 of an
+//! `euler_step` right now?" — the way a serving daemon must:
 //!
-//! * **Timing histograms** ([`Timer`]): log-bucketed `u64` nanosecond
-//!   histograms (8 sub-buckets per octave, ≤ ~9 % relative bucket width)
-//!   recorded through cheap optionally-sampled RAII guards ([`time`]).
-//!   Every call is counted; only every `2^sample_shift`-th call pays the
-//!   two `Instant::now` reads, so even µs-scale kernels stay inside the
-//!   CI perf-ratchet ceiling with metrics enabled.
+//! * **Timings**: every [`crate::trace::span`] label. Spans record each
+//!   duration into a [`Histogram`] (log-bucketed `u64` nanoseconds, 8
+//!   sub-buckets per octave, ≤ ~9 % relative bucket width); [`snapshot`]
+//!   reads them through [`crate::trace::stats`].
 //! * **Gauges** ([`Gauge`]): last-write-wins `f64` values (current CFL
 //!   scale, sweep worker utilization) stored as atomic bit patterns.
 //! * **Counters**: the existing [`crate::telemetry::counters`] registry,
@@ -20,24 +17,22 @@
 //!
 //! # Determinism
 //!
-//! Each thread records into its own shard (an uncontended mutex, same
-//! pattern as [`crate::trace`]); [`snapshot`] merges shards by bucket-wise
-//! `u64` addition and min/max folds — all commutative and associative, so
-//! the merged result is **order-invariant**: any partition of the same
-//! observations across any number of shards merges to the identical
-//! [`Histogram`] (property-tested). Quantiles are computed from fixed
-//! bucket upper bounds, never by interpolation, so summaries are
-//! deterministic functions of the merged buckets.
+//! Histograms merge by bucket-wise `u64` addition and min/max folds — all
+//! commutative and associative, so any partition of the same observations
+//! across any number of threads merges to the identical [`Histogram`]
+//! (property-tested). Quantiles are computed from fixed bucket upper
+//! bounds, never by interpolation, so summaries are deterministic
+//! functions of the merged buckets.
 //!
-//! Wall-clock *values* are of course nondeterministic; histogram data is
+//! Wall-clock *values* are of course nondeterministic; timing data is
 //! therefore kept out of every bitwise-compared payload (sweep stores,
 //! feature-parity reports) and surfaced only in observability sections.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Instant;
+use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::json::write_string;
 use crate::telemetry::counters;
+use crate::trace::{self, SpanStats};
 
 /// Sub-bucket resolution: 2^3 = 8 sub-buckets per power-of-two octave.
 const SUB_BITS: u32 = 3;
@@ -193,60 +188,6 @@ impl Histogram {
     }
 }
 
-/// Instrumented kernels with timing histograms.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(usize)]
-pub enum Timer {
-    /// One explicit Euler solver step (`euler2d::Euler2d::step`).
-    EulerStep,
-    /// One explicit Navier–Stokes solver step (`ns2d::NavierStokes2d::step`).
-    NsStep,
-    /// One reacting-solver step.
-    ReactingStep,
-    /// One equilibrium-composition Newton solve (warm or cold).
-    EquilibriumNewton,
-    /// One full face-flux assembly sweep (all i- and j-faces of a step).
-    FaceSweep,
-}
-
-/// Number of [`Timer`] variants.
-pub const N_TIMERS: usize = 5;
-
-impl Timer {
-    /// Every timer, in declaration (and exposition) order.
-    pub const ALL: [Timer; N_TIMERS] = [
-        Timer::EulerStep,
-        Timer::NsStep,
-        Timer::ReactingStep,
-        Timer::EquilibriumNewton,
-        Timer::FaceSweep,
-    ];
-
-    /// Stable snake_case name used in JSON and Prometheus exposition.
-    #[must_use]
-    pub const fn name(self) -> &'static str {
-        match self {
-            Timer::EulerStep => "euler_step",
-            Timer::NsStep => "ns_step",
-            Timer::ReactingStep => "reacting_step",
-            Timer::EquilibriumNewton => "equilibrium_newton",
-            Timer::FaceSweep => "face_sweep",
-        }
-    }
-
-    /// Sampling shift: every call is counted, every `2^shift`-th call is
-    /// timed. Step-level kernels (100 µs+) afford exact timing; the
-    /// µs-scale Newton solve and face sweeps sample 1-in-4 to keep the
-    /// instrumentation overhead well inside the perf-ratchet ceiling.
-    #[must_use]
-    pub const fn sample_shift(self) -> u32 {
-        match self {
-            Timer::EulerStep | Timer::NsStep | Timer::ReactingStep => 0,
-            Timer::EquilibriumNewton | Timer::FaceSweep => 2,
-        }
-    }
-}
-
 /// Last-write-wins scalar gauges.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
@@ -304,227 +245,88 @@ pub fn gauge(g: Gauge) -> f64 {
     f64::from_bits(GAUGES[g as usize].load(Ordering::Relaxed))
 }
 
-/// Per-timer state on one thread: total calls plus the sampled histogram.
-#[derive(Default, Clone)]
-struct TimerShard {
-    calls: u64,
-    hist: Option<Histogram>,
-}
-
-/// One thread's metrics shard. Self-registers in the global registry so
-/// [`snapshot`] and [`reset_all`] reach every thread's data.
-#[derive(Default)]
-struct Shard {
-    timers: [TimerShard; N_TIMERS],
-}
-
-fn registry() -> &'static Mutex<Vec<Arc<Mutex<Shard>>>> {
-    static REGISTRY: OnceLock<Mutex<Vec<Arc<Mutex<Shard>>>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-thread_local! {
-    static LOCAL: Arc<Mutex<Shard>> = {
-        let shard = Arc::new(Mutex::new(Shard::default()));
-        registry().lock().unwrap().push(Arc::clone(&shard));
-        shard
-    };
-    /// Per-thread per-timer call sequence used for sampling decisions.
-    static SEQ: std::cell::Cell<[u64; N_TIMERS]> = const { std::cell::Cell::new([0; N_TIMERS]) };
-}
-
-/// Metrics collection defaults to ON: the recorders are cheap enough for
-/// the CI perf ratchet, and observability that must be switched on before
-/// the incident is not observability.
-static ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Turn metrics collection on.
-pub fn enable() {
-    ENABLED.store(true, Ordering::SeqCst);
-}
-
-/// Turn metrics collection off; [`time`] guards become inert.
-pub fn disable() {
-    ENABLED.store(false, Ordering::SeqCst);
-}
-
-/// Whether metrics are currently recording.
-#[inline]
-#[must_use]
-pub fn is_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Clear every thread's shard (calls and histograms) and zero all gauges.
-/// Counters are *not* touched; see `telemetry::reset_all` for the
-/// everything-reset used between tests.
-pub fn reset_all() {
-    for shard in registry().lock().unwrap().iter() {
-        let mut s = shard.lock().unwrap();
-        for t in s.timers.iter_mut() {
-            *t = TimerShard::default();
-        }
-    }
+/// Zero all gauges. Timings live in [`crate::trace`] (see
+/// [`crate::trace::reset`]); counters in [`crate::telemetry::counters`].
+pub fn reset_gauges() {
     for g in &GAUGES {
         g.store(0, Ordering::Relaxed);
     }
 }
 
-/// RAII guard from [`time`]: counts the call immediately, records the
-/// duration into the calling thread's histogram on drop when sampled.
-#[must_use = "a timer guard records on drop; binding it to _ closes it immediately"]
-pub struct TimerGuard {
-    live: Option<(Timer, Instant)>,
-}
-
-impl Drop for TimerGuard {
-    fn drop(&mut self) {
-        if let Some((t, start)) = self.live.take() {
-            let ns = start.elapsed().as_nanos() as u64;
-            record_duration_ns(t, ns);
-        }
-    }
-}
-
-/// Count one call of `t` and, on sampled calls, start its timer. The
-/// returned guard records into the calling thread's shard when dropped.
-#[inline]
-pub fn time(t: Timer) -> TimerGuard {
-    if !is_enabled() {
-        return TimerGuard { live: None };
-    }
-    LOCAL.with(|shard| shard.lock().unwrap().timers[t as usize].calls += 1);
-    let sampled = SEQ.with(|seq| {
-        let mut s = seq.get();
-        let n = s[t as usize];
-        s[t as usize] = n.wrapping_add(1);
-        seq.set(s);
-        n & ((1 << t.sample_shift()) - 1) == 0
-    });
-    TimerGuard {
-        live: sampled.then(|| (t, Instant::now())),
-    }
-}
-
-/// Record an explicit duration for `t` into the calling thread's
-/// histogram (does not increment the call count — [`time`] does that).
-pub fn record_duration_ns(t: Timer, ns: u64) {
-    LOCAL.with(|shard| {
-        let mut s = shard.lock().unwrap();
-        s.timers[t as usize]
-            .hist
-            .get_or_insert_with(Histogram::new)
-            .observe_ns(ns);
-    });
-}
-
-/// Merged summary of one timer across all thread shards.
-#[derive(Debug, Clone)]
-pub struct TimerSummary {
-    /// Which kernel.
-    pub timer: Timer,
-    /// Total calls observed (sampled or not).
-    pub calls: u64,
-    /// The merged sampled-duration histogram.
-    pub hist: Histogram,
-}
-
-impl TimerSummary {
-    /// Convenience: (p50, p90, p99) in ns.
-    #[must_use]
-    pub fn quantiles_ns(&self) -> (u64, u64, u64) {
-        (
-            self.hist.quantile_ns(0.50),
-            self.hist.quantile_ns(0.90),
-            self.hist.quantile_ns(0.99),
-        )
-    }
-}
-
-/// A point-in-time merge of every shard: timers with nonzero calls, all
-/// gauges, and the full telemetry counter set.
+/// A point-in-time view of every metric: span timings, all gauges, and
+/// the full telemetry counter set.
 #[derive(Debug, Clone)]
 pub struct MetricsSnapshot {
-    /// Per-timer merged summaries (only timers with calls > 0), in
-    /// [`Timer::ALL`] order.
-    pub timings: Vec<TimerSummary>,
+    /// Per-label span timings, as [`crate::trace::stats`] orders them
+    /// (total time descending).
+    pub timings: Vec<SpanStats>,
     /// `(name, value)` for every gauge, in [`Gauge::ALL`] order.
     pub gauges: Vec<(&'static str, f64)>,
     /// `(name, value)` for every telemetry counter, in declaration order.
     pub counters: Vec<(&'static str, u64)>,
 }
 
-/// Merge every thread shard into a [`MetricsSnapshot`]. Order-invariant:
-/// the result is independent of thread registration or recording order.
+/// Take a [`MetricsSnapshot`]. Order-invariant: the timings are
+/// independent of thread registration or recording order.
 #[must_use]
 pub fn snapshot() -> MetricsSnapshot {
-    let mut timers: Vec<TimerSummary> = Timer::ALL
-        .iter()
-        .map(|&t| TimerSummary {
-            timer: t,
-            calls: 0,
-            hist: Histogram::new(),
-        })
-        .collect();
-    for shard in registry().lock().unwrap().iter() {
-        let s = shard.lock().unwrap();
-        for (i, ts) in s.timers.iter().enumerate() {
-            timers[i].calls += ts.calls;
-            if let Some(h) = &ts.hist {
-                timers[i].hist.merge(h);
-            }
-        }
-    }
-    timers.retain(|t| t.calls > 0 || t.hist.count > 0);
-    let counter_snap = counters::CounterSnapshot::take();
     MetricsSnapshot {
-        timings: timers,
+        timings: trace::stats(),
         gauges: Gauge::ALL.iter().map(|&g| (g.name(), gauge(g))).collect(),
-        counters: counter_snap.iter().collect(),
+        counters: counters::CounterSnapshot::take().iter().collect(),
     }
 }
 
+/// The one timing writer: a JSON object keyed by span label, each entry
+/// carrying `calls`, `samples` (histogram count), `p50_ns`, `p90_ns`,
+/// `p95_ns`, `p99_ns`, `min_ns`, `max_ns`, `mean_ns` and `total_ns`.
+/// Timing values are wall-clock and must stay out of bitwise-compared
+/// payloads.
+#[must_use]
+pub fn timings_json(timings: &[SpanStats]) -> String {
+    let mut s = String::with_capacity(256 * timings.len() + 2);
+    s.push('{');
+    for (k, t) in timings.iter().enumerate() {
+        if k > 0 {
+            s.push_str(", ");
+        }
+        let h = &t.hist;
+        s.push_str(&format!(
+            "{}: {{\"calls\": {}, \"samples\": {}, \"p50_ns\": {}, \
+             \"p90_ns\": {}, \"p95_ns\": {}, \"p99_ns\": {}, \"min_ns\": {}, \
+             \"max_ns\": {}, \"mean_ns\": {}, \"total_ns\": {}}}",
+            write_string(t.label),
+            t.count,
+            h.count,
+            h.quantile_ns(0.50),
+            h.quantile_ns(0.90),
+            h.quantile_ns(0.95),
+            h.quantile_ns(0.99),
+            if h.count == 0 { 0 } else { h.min_ns },
+            h.max_ns,
+            h.mean_ns(),
+            h.sum_ns,
+        ));
+    }
+    s.push('}');
+    s
+}
+
 impl MetricsSnapshot {
-    /// The merged summary for `t`, if it recorded anything.
+    /// The timing for span `label`, if it recorded anything.
     #[must_use]
-    pub fn timing(&self, t: Timer) -> Option<&TimerSummary> {
-        self.timings.iter().find(|s| s.timer == t)
+    pub fn timing(&self, label: &str) -> Option<&SpanStats> {
+        self.timings.iter().find(|s| s.label == label)
     }
 
-    /// JSON object: `{"timings": {...}, "gauges": {...}, "counters": {...}}`.
-    ///
-    /// Each timing carries `calls`, `samples` (histogram count), `p50_ns`,
-    /// `p90_ns`, `p95_ns`, `p99_ns`, `min_ns`, `max_ns`, `mean_ns`,
-    /// `total_ns`. Timing values are wall-clock and must stay out of
-    /// bitwise-compared payloads.
+    /// JSON object: `{"timings": {...}, "gauges": {...}, "counters": {...}}`
+    /// with the timings as [`timings_json`] writes them.
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(1 << 12);
-        s.push_str("{\"timings\": {");
-        for (k, t) in self.timings.iter().enumerate() {
-            if k > 0 {
-                s.push_str(", ");
-            }
-            let h = &t.hist;
-            let min = if h.count == 0 { 0 } else { h.min_ns };
-            s.push_str(&format!(
-                "\"{}\": {{\"calls\": {}, \"samples\": {}, \"p50_ns\": {}, \
-                 \"p90_ns\": {}, \"p95_ns\": {}, \"p99_ns\": {}, \"min_ns\": {}, \
-                 \"max_ns\": {}, \"mean_ns\": {}, \"total_ns\": {}}}",
-                t.timer.name(),
-                t.calls,
-                h.count,
-                h.quantile_ns(0.50),
-                h.quantile_ns(0.90),
-                h.quantile_ns(0.95),
-                h.quantile_ns(0.99),
-                min,
-                h.max_ns,
-                h.mean_ns(),
-                h.sum_ns,
-            ));
-        }
-        s.push_str("}, \"gauges\": {");
+        s.push_str("{\"timings\": ");
+        s.push_str(&timings_json(&self.timings));
+        s.push_str(", \"gauges\": {");
         for (k, (name, v)) in self.gauges.iter().enumerate() {
             if k > 0 {
                 s.push_str(", ");
@@ -569,7 +371,7 @@ impl MetricsSnapshot {
             s.push('\n');
         }
         for t in &self.timings {
-            let name = t.timer.name();
+            let name = t.label;
             s.push_str(&format!("# TYPE aerothermo_{name}_seconds histogram\n"));
             for (upper_ns, cum) in t.hist.cumulative_buckets() {
                 s.push_str(&format!(
@@ -589,7 +391,7 @@ impl MetricsSnapshot {
                 "aerothermo_{name}_seconds_count {}\n",
                 t.hist.count
             ));
-            s.push_str(&format!("aerothermo_{name}_calls_total {}\n", t.calls));
+            s.push_str(&format!("aerothermo_{name}_calls_total {}\n", t.count));
         }
         s
     }
@@ -598,13 +400,7 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Metrics state is process-global; serialize mutating tests.
-    fn lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
+    use crate::trace::test_lock as lock;
 
     #[test]
     fn bucket_roundtrip_monotone() {
@@ -676,35 +472,17 @@ mod tests {
     }
 
     #[test]
-    fn timer_guard_records_counts_and_samples() {
+    fn every_span_call_is_a_timing() {
         let _g = lock();
-        reset_all();
-        enable();
         for _ in 0..8 {
-            let _t = time(Timer::EquilibriumNewton);
+            let _sp = trace::span("metrics_test_kernel");
             std::hint::black_box(1.0_f64.sqrt());
         }
         let snap = snapshot();
-        let t = snap.timing(Timer::EquilibriumNewton).unwrap();
-        assert_eq!(t.calls, 8);
-        // shift=2 → every 4th call sampled; thread-local phase means we can
-        // only bound the sample count, not pin it.
-        assert!(t.hist.count >= 1 && t.hist.count <= 8);
-        reset_all();
-    }
-
-    #[test]
-    fn disabled_timers_record_nothing() {
-        let _g = lock();
-        reset_all();
-        disable();
-        {
-            let _t = time(Timer::EulerStep);
-        }
-        enable();
-        let snap = snapshot();
-        assert!(snap.timing(Timer::EulerStep).is_none());
-        reset_all();
+        let t = snap.timing("metrics_test_kernel").unwrap();
+        assert_eq!(t.count, 8);
+        assert_eq!(t.hist.count, 8, "every call is timed, none sampled away");
+        trace::reset();
     }
 
     #[test]
@@ -712,24 +490,25 @@ mod tests {
         let _g = lock();
         set_gauge(Gauge::CflScale, 0.25);
         assert_eq!(gauge(Gauge::CflScale), 0.25);
-        reset_all();
+        reset_gauges();
         assert_eq!(gauge(Gauge::CflScale), 0.0);
     }
 
     #[test]
     fn json_and_prometheus_expositions_are_well_formed() {
         let _g = lock();
-        reset_all();
-        enable();
-        record_duration_ns(Timer::EulerStep, 150_000);
-        record_duration_ns(Timer::EulerStep, 250_000);
+        trace::reset();
+        for _ in 0..2 {
+            let _sp = trace::span("euler_step");
+            std::hint::black_box(1.0_f64.sqrt());
+        }
         set_gauge(Gauge::CflScale, 1.0);
         let snap = snapshot();
         let json = snap.to_json();
         let v = crate::json::parse(&json).expect("snapshot JSON parses");
         let timings = v.get("timings").unwrap();
         let es = timings.get("euler_step").unwrap();
-        assert!(es.get("p50_ns").unwrap().as_f64().unwrap() > 0.0);
+        assert_eq!(es.get("calls").unwrap().as_f64(), Some(2.0));
         assert!(
             es.get("p99_ns").unwrap().as_f64().unwrap()
                 >= es.get("p50_ns").unwrap().as_f64().unwrap()
@@ -739,6 +518,7 @@ mod tests {
         assert!(text.contains("aerothermo_euler_step_seconds_bucket{le=\"+Inf\"} 2"));
         assert!(text.contains("aerothermo_euler_step_seconds_count 2"));
         assert!(text.contains("aerothermo_cfl_scale 1"));
-        reset_all();
+        trace::reset();
+        reset_gauges();
     }
 }

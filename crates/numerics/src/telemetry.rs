@@ -271,8 +271,8 @@ pub mod counters {
 pub use counters::{Counter, CounterSnapshot};
 
 /// Reset *all* process-global observability state: kernel counters (global
-/// atomics plus the calling thread's mirror), every thread's trace buffer,
-/// and every thread's metrics shard (timing histograms and gauges).
+/// atomics plus the calling thread's mirror), every thread's trace buffer
+/// (span counts, timing histograms and timeline), and the gauges.
 ///
 /// This is the between-`#[test]` reset: the test runner reuses threads
 /// across `#[test]` functions, so thread-local state bleeds between tests
@@ -281,7 +281,7 @@ pub fn reset_all() {
     counters::reset_all();
     counters::reset_thread_mirror();
     crate::trace::reset();
-    crate::metrics::reset_all();
+    crate::metrics::reset_gauges();
 }
 
 /// Thread-scoped counter window for per-run attribution.

@@ -1,33 +1,45 @@
-//! Hierarchical RAII span profiler with Chrome trace-event export.
+//! Hierarchical RAII span profiler: the workspace's one timing primitive.
 //!
 //! Where [`crate::telemetry::counters`] answers *how much work* a run did,
-//! this module answers *where inside a solve the time went*: nested spans
-//! opened around the hot kernels (Newton solves, tridiagonal sweeps,
-//! chemistry substeps, equilibrium lookups, spectrum integration, solver
-//! step loops) aggregate per-label call-count/min/max/total statistics and
-//! optionally a full event timeline exportable as Chrome trace-event JSON —
-//! a `--trace=PATH` run opens directly in `chrome://tracing` or
+//! this module answers *where the time went*: spans opened around the hot
+//! kernels (Newton solves, tridiagonal sweeps, chemistry substeps,
+//! equilibrium lookups, spectrum integration, solver step loops) count
+//! every call and record every duration into a per-label log-bucketed
+//! [`Histogram`], so each label carries calls, min/max/total and
+//! p50/p90/p99 at once. [`crate::metrics::snapshot`] exposes these as its
+//! `timings`.
+//!
+//! Counting and histograms are always on. The Chrome trace-event timeline
+//! is opt-in: while [`enable`] is in force every span also appends one
+//! complete event, exportable with [`chrome_trace_json`] — a
+//! `--trace=PATH` run opens directly in `chrome://tracing` or
 //! [Perfetto](https://ui.perfetto.dev).
 //!
 //! Design constraints, in order:
 //!
-//! 1. **Near-zero overhead when disabled.** [`span`] is a single relaxed
-//!    atomic load returning an inert guard; the instrumented kernels pay
-//!    one branch.
+//! 1. **Cheap enough to leave on.** A span costs two `Instant::now` reads
+//!    and one uncontended lock of the calling thread's buffer; the CI perf
+//!    ratchet holds with every call timed.
 //! 2. **Thread-aware.** Every thread (rayon workers included) records into
-//!    its own buffer behind an uncontended mutex; buffers register
-//!    themselves in a global list so [`stats`] and [`chrome_trace_json`]
-//!    can merge them. Events carry a stable small thread id, so Perfetto
-//!    renders one track per worker.
-//! 3. **Dependency-free**, like the rest of the telemetry layer.
+//!    its own buffer; buffers register themselves in a global list so
+//!    [`stats`] and [`chrome_trace_json`] can merge them. A thread that
+//!    exits folds its histograms into the registry, so short-lived workers
+//!    leave no buffer behind (a thread holding timeline events keeps its
+//!    buffer, and its Perfetto track, until [`reset`]).
+//! 3. **Order-invariant merges.** Histogram merging is bucket-wise
+//!    addition plus min/max folds, so the merged statistics do not depend
+//!    on how observations were spread across threads.
+//! 4. **Dependency-free**, like the rest of the telemetry layer.
 //!
 //! Nesting needs no explicit bookkeeping: RAII scopes produce properly
 //! contained `[start, start+dur]` intervals per thread, which is exactly
 //! what the trace-event `"X"` (complete-event) phase encodes.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
+
+use crate::metrics::Histogram;
 
 /// Per-thread event cap: beyond this the timeline drops events (stats keep
 /// accumulating) so a pathological run cannot exhaust memory. 2^20 complete
@@ -42,6 +54,12 @@ fn epoch() -> Instant {
     *EPOCH.get_or_init(Instant::now)
 }
 
+/// Lock ignoring poison: a panic inside a traced kernel must not disable
+/// the profiler for the rest of the process.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 /// One completed span occurrence on one thread.
 #[derive(Debug, Clone)]
 struct SpanEvent {
@@ -52,14 +70,16 @@ struct SpanEvent {
     dur_ns: u64,
 }
 
-/// Aggregated statistics for one label on one thread.
-#[derive(Debug, Clone)]
-struct LabelStat {
-    label: &'static str,
-    count: u64,
-    total_ns: u64,
-    min_ns: u64,
-    max_ns: u64,
+/// Per-label duration histograms, in first-seen order.
+type LabelHists = Vec<(&'static str, Histogram)>;
+
+fn merge_hists(into: &mut LabelHists, from: &LabelHists) {
+    for (label, h) in from {
+        match into.iter_mut().find(|(l, _)| l == label) {
+            Some((_, acc)) => acc.merge(h),
+            None => into.push((label, h.clone())),
+        }
+    }
 }
 
 #[derive(Debug, Default)]
@@ -67,11 +87,22 @@ struct ThreadBuf {
     tid: usize,
     events: Vec<SpanEvent>,
     dropped: u64,
-    stats: Vec<LabelStat>,
+    hists: LabelHists,
 }
 
 impl ThreadBuf {
-    fn record(&mut self, label: &'static str, start_ns: u64, dur_ns: u64) {
+    fn record(&mut self, label: &'static str, dur_ns: u64) {
+        match self.hists.iter_mut().find(|(l, _)| *l == label) {
+            Some((_, h)) => h.observe_ns(dur_ns),
+            None => {
+                let mut h = Histogram::new();
+                h.observe_ns(dur_ns);
+                self.hists.push((label, h));
+            }
+        }
+    }
+
+    fn push_event(&mut self, label: &'static str, start_ns: u64, dur_ns: u64) {
         if self.events.len() < MAX_EVENTS_PER_THREAD {
             self.events.push(SpanEvent {
                 label,
@@ -81,84 +112,118 @@ impl ThreadBuf {
         } else {
             self.dropped += 1;
         }
-        match self.stats.iter_mut().find(|s| s.label == label) {
-            Some(s) => {
-                s.count += 1;
-                s.total_ns += dur_ns;
-                s.min_ns = s.min_ns.min(dur_ns);
-                s.max_ns = s.max_ns.max(dur_ns);
-            }
-            None => self.stats.push(LabelStat {
-                label,
-                count: 1,
-                total_ns: dur_ns,
-                min_ns: dur_ns,
-                max_ns: dur_ns,
-            }),
+    }
+
+    /// Append this buffer's timeline as `"X"` complete events (timestamps
+    /// in µs). Labels are static identifiers (no quotes or escapes).
+    fn write_events(&self, s: &mut String) {
+        for e in &self.events {
+            s.push_str(&format!(
+                ",\n{{\"name\": \"{}\", \"cat\": \"aerothermo\", \"ph\": \"X\", \
+                 \"ts\": {:.3}, \"dur\": {:.3}, \"pid\": 1, \"tid\": {}}}",
+                e.label,
+                e.start_ns as f64 / 1e3,
+                e.dur_ns as f64 / 1e3,
+                self.tid
+            ));
         }
     }
 }
 
-fn registry() -> &'static Mutex<Vec<Arc<Mutex<ThreadBuf>>>> {
-    static REGISTRY: OnceLock<Mutex<Vec<Arc<Mutex<ThreadBuf>>>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
+/// Live thread buffers plus the histograms of threads that have exited.
+#[derive(Default)]
+struct Registry {
+    live: Vec<Arc<Mutex<ThreadBuf>>>,
+    retired: LabelHists,
+}
+
+fn registry() -> &'static Mutex<Registry> {
+    static REGISTRY: OnceLock<Mutex<Registry>> = OnceLock::new();
+    REGISTRY.get_or_init(|| Mutex::new(Registry::default()))
+}
+
+/// The calling thread's buffer; on thread exit its histograms move into
+/// [`Registry::retired`] so spawn-per-call workers do not pile up buffers.
+struct Local(Arc<Mutex<ThreadBuf>>);
+
+impl Drop for Local {
+    fn drop(&mut self) {
+        let mut reg = lock(registry());
+        let buf = lock(&self.0);
+        if !buf.events.is_empty() {
+            return;
+        }
+        merge_hists(&mut reg.retired, &buf.hists);
+        reg.live.retain(|b| !Arc::ptr_eq(b, &self.0));
+    }
 }
 
 thread_local! {
-    static LOCAL: Arc<Mutex<ThreadBuf>> = {
+    static LOCAL: Local = {
         let buf = Arc::new(Mutex::new(ThreadBuf {
             tid: NEXT_TID.fetch_add(1, Ordering::Relaxed),
             ..ThreadBuf::default()
         }));
-        registry().lock().unwrap().push(Arc::clone(&buf));
-        buf
+        lock(registry()).live.push(Arc::clone(&buf));
+        Local(buf)
     };
 }
 
-/// Turn the profiler on (spans start recording). Sets the trace epoch on
-/// first call.
+/// Turn the timeline on (spans start appending Chrome trace events). Sets
+/// the trace epoch on first call. Counts and histograms record regardless.
 pub fn enable() {
     epoch();
     ENABLED.store(true, Ordering::SeqCst);
 }
 
-/// Turn the profiler off; spans opened afterwards are no-ops. Already
-/// recorded data is retained until [`reset`].
+/// Turn the timeline off; spans opened afterwards append no events. Already
+/// recorded events are retained until [`reset`].
 pub fn disable() {
     ENABLED.store(false, Ordering::SeqCst);
 }
 
-/// Whether spans are currently recording.
+/// Whether spans are currently appending timeline events.
 #[inline]
 #[must_use]
 pub fn is_enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Drop all recorded events and statistics on every thread.
+/// Drop all recorded events, counts and histograms on every thread.
 pub fn reset() {
-    for buf in registry().lock().unwrap().iter() {
-        let mut b = buf.lock().unwrap();
+    let mut reg = lock(registry());
+    reg.retired.clear();
+    // Buffers only the registry still holds belong to exited threads that
+    // kept theirs for the timeline; with the events gone they can go too.
+    reg.live.retain(|b| Arc::strong_count(b) > 1);
+    for buf in &reg.live {
+        let mut b = lock(buf);
         b.events.clear();
-        b.stats.clear();
+        b.hists.clear();
         b.dropped = 0;
     }
 }
 
-/// RAII guard returned by [`span`]; records the span on drop. Inert (and
-/// free) when the profiler is disabled.
+/// RAII guard returned by [`span`]; records the span on drop.
 #[must_use = "a span guard records on drop; binding it to _ closes it immediately"]
 pub struct Span {
-    live: Option<(&'static str, Instant)>,
+    label: &'static str,
+    start: Instant,
+    timeline: bool,
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        if let Some((label, start)) = self.live.take() {
-            let dur_ns = start.elapsed().as_nanos() as u64;
-            let start_ns = start.duration_since(epoch()).as_nanos() as u64;
-            LOCAL.with(|buf| buf.lock().unwrap().record(label, start_ns, dur_ns));
-        }
+        let dur_ns = self.start.elapsed().as_nanos() as u64;
+        // `try_with`: a span closing during thread teardown is not counted.
+        let _ = LOCAL.try_with(|local| {
+            let mut b = lock(&local.0);
+            b.record(self.label, dur_ns);
+            if self.timeline {
+                let start_ns = self.start.duration_since(epoch()).as_nanos() as u64;
+                b.push_event(self.label, start_ns, dur_ns);
+            }
+        });
     }
 }
 
@@ -166,11 +231,10 @@ impl Drop for Span {
 /// be static strings — they are the aggregation key.
 #[inline]
 pub fn span(label: &'static str) -> Span {
-    if !is_enabled() {
-        return Span { live: None };
-    }
     Span {
-        live: Some((label, Instant::now())),
+        label,
+        timeline: is_enabled(),
+        start: Instant::now(),
     }
 }
 
@@ -194,78 +258,71 @@ pub struct SpanStats {
     pub min_ns: u64,
     /// Longest occurrence \[ns\].
     pub max_ns: u64,
+    /// Every occurrence's duration.
+    pub hist: Histogram,
 }
 
 impl SpanStats {
+    fn from_hist(label: &'static str, hist: Histogram) -> Self {
+        Self {
+            label,
+            count: hist.count,
+            total_ns: hist.sum_ns,
+            min_ns: hist.min_ns,
+            max_ns: hist.max_ns,
+            hist,
+        }
+    }
+
     /// Mean duration per occurrence \[ns\] (0 when never recorded).
     #[must_use]
     pub fn mean_ns(&self) -> u64 {
-        self.total_ns.checked_div(self.count).unwrap_or(0)
+        self.hist.mean_ns()
     }
 }
 
 /// Aggregate statistics over every thread, sorted by total time descending.
 #[must_use]
 pub fn stats() -> Vec<SpanStats> {
-    let mut merged: Vec<SpanStats> = Vec::new();
-    for buf in registry().lock().unwrap().iter() {
-        let b = buf.lock().unwrap();
-        for s in &b.stats {
-            match merged.iter_mut().find(|m| m.label == s.label) {
-                Some(m) => {
-                    m.count += s.count;
-                    m.total_ns += s.total_ns;
-                    m.min_ns = m.min_ns.min(s.min_ns);
-                    m.max_ns = m.max_ns.max(s.max_ns);
-                }
-                None => merged.push(SpanStats {
-                    label: s.label,
-                    count: s.count,
-                    total_ns: s.total_ns,
-                    min_ns: s.min_ns,
-                    max_ns: s.max_ns,
-                }),
-            }
-        }
+    let reg = lock(registry());
+    let mut merged = reg.retired.clone();
+    for buf in &reg.live {
+        merge_hists(&mut merged, &lock(buf).hists);
     }
-    merged.sort_by_key(|s| std::cmp::Reverse(s.total_ns));
-    merged
+    drop(reg);
+    let mut out: Vec<SpanStats> = merged
+        .into_iter()
+        .map(|(label, h)| SpanStats::from_hist(label, h))
+        .collect();
+    out.sort_by_key(|s| std::cmp::Reverse(s.total_ns));
+    out
 }
 
-/// Drain the *calling thread's* recorded events into a standalone Chrome
-/// trace-event JSON document, clearing that thread's buffer (events,
-/// stats, dropped count). Returns `None` when the thread recorded nothing.
+const CHROME_HEADER: &str = "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n\
+     {\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": 0, \
+     \"args\": {\"name\": \"aerothermo\"}}";
+const CHROME_FOOTER: &str = "\n]}\n";
+
+/// Drain the *calling thread's* timeline events into a standalone Chrome
+/// trace-event JSON document, clearing those events (counts and histograms
+/// are kept). Returns `None` when the thread has no events.
 ///
 /// This is the per-case export the sweep engine uses for `--trace`: each
 /// case runs pinned to one thread, so at case end the calling thread's
-/// buffer holds exactly that case's spans, and draining it keeps the next
-/// case on the same worker from inheriting them.
+/// timeline holds exactly that case's spans, and draining it keeps the
+/// next case on the same worker from inheriting them.
 #[must_use]
 pub fn drain_thread_chrome_json() -> Option<String> {
-    LOCAL.with(|buf| {
-        let mut b = buf.lock().unwrap();
-        if b.events.is_empty() && b.stats.is_empty() {
+    LOCAL.with(|local| {
+        let mut b = lock(&local.0);
+        if b.events.is_empty() {
             return None;
         }
         let mut s = String::with_capacity(1 << 12);
-        s.push_str("{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n");
-        s.push_str(
-            "{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": 0, \
-             \"args\": {\"name\": \"aerothermo\"}}",
-        );
-        for e in &b.events {
-            s.push_str(&format!(
-                ",\n{{\"name\": \"{}\", \"cat\": \"aerothermo\", \"ph\": \"X\", \
-                 \"ts\": {:.3}, \"dur\": {:.3}, \"pid\": 1, \"tid\": {}}}",
-                e.label,
-                e.start_ns as f64 / 1e3,
-                e.dur_ns as f64 / 1e3,
-                b.tid
-            ));
-        }
-        s.push_str("\n]}\n");
+        s.push_str(CHROME_HEADER);
+        b.write_events(&mut s);
+        s.push_str(CHROME_FOOTER);
         b.events.clear();
-        b.stats.clear();
         b.dropped = 0;
         Some(s)
     })
@@ -274,12 +331,7 @@ pub fn drain_thread_chrome_json() -> Option<String> {
 /// Timeline events dropped because a thread hit its event cap.
 #[must_use]
 pub fn dropped_events() -> u64 {
-    registry()
-        .lock()
-        .unwrap()
-        .iter()
-        .map(|b| b.lock().unwrap().dropped)
-        .sum()
+    lock(registry()).live.iter().map(|b| lock(b).dropped).sum()
 }
 
 /// Export every recorded event as Chrome trace-event JSON (the
@@ -288,57 +340,45 @@ pub fn dropped_events() -> u64 {
 #[must_use]
 pub fn chrome_trace_json() -> String {
     let mut s = String::with_capacity(1 << 16);
-    s.push_str("{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n");
-    s.push_str(
-        "{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": 0, \
-         \"args\": {\"name\": \"aerothermo\"}}",
-    );
-    for buf in registry().lock().unwrap().iter() {
-        let b = buf.lock().unwrap();
-        for e in &b.events {
-            // Label strings are static identifiers (no quotes/escapes).
-            s.push_str(&format!(
-                ",\n{{\"name\": \"{}\", \"cat\": \"aerothermo\", \"ph\": \"X\", \
-                 \"ts\": {:.3}, \"dur\": {:.3}, \"pid\": 1, \"tid\": {}}}",
-                e.label,
-                e.start_ns as f64 / 1e3,
-                e.dur_ns as f64 / 1e3,
-                b.tid
-            ));
-        }
+    s.push_str(CHROME_HEADER);
+    for buf in &lock(registry()).live {
+        lock(buf).write_events(&mut s);
     }
-    s.push_str("\n]}\n");
+    s.push_str(CHROME_FOOTER);
     s
+}
+
+/// Serializes the tests (here and in [`crate::metrics`]) that reset or
+/// toggle the process-global profiler state.
+#[cfg(test)]
+pub(crate) fn test_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    lock(&LOCK)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// The profiler state is process-global; serialize the tests that
-    /// enable/reset it.
-    fn lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    fn stat(label: &str) -> Option<SpanStats> {
+        stats().into_iter().find(|s| s.label == label)
     }
 
     #[test]
-    fn disabled_spans_record_nothing() {
-        let _g = lock();
-        reset();
+    fn disabled_timeline_still_counts() {
+        let _g = test_lock();
         disable();
         {
             let _sp = span("trace_test_disabled");
         }
-        assert!(stats().iter().all(|s| s.label != "trace_test_disabled"));
+        assert_eq!(stat("trace_test_disabled").unwrap().count, 1);
+        assert!(!chrome_trace_json().contains("trace_test_disabled"));
+        reset();
     }
 
     #[test]
     fn nested_spans_aggregate_per_label() {
-        let _g = lock();
-        reset();
-        enable();
+        let _g = test_lock();
         for _ in 0..3 {
             let _outer = span("trace_test_outer");
             for _ in 0..4 {
@@ -346,12 +386,12 @@ mod tests {
                 std::hint::black_box(1.0_f64.sqrt());
             }
         }
-        disable();
-        let st = stats();
-        let outer = st.iter().find(|s| s.label == "trace_test_outer").unwrap();
-        let inner = st.iter().find(|s| s.label == "trace_test_inner").unwrap();
+        let outer = stat("trace_test_outer").unwrap();
+        let inner = stat("trace_test_inner").unwrap();
         assert_eq!(outer.count, 3);
         assert_eq!(inner.count, 12);
+        assert_eq!(inner.hist.count, 12);
+        assert_eq!(inner.hist.sum_ns, inner.total_ns);
         assert!(outer.min_ns <= outer.max_ns);
         assert!(outer.total_ns >= outer.max_ns);
         assert!(inner.mean_ns() <= inner.max_ns);
@@ -360,8 +400,7 @@ mod tests {
 
     #[test]
     fn chrome_export_is_balanced_json_with_events() {
-        let _g = lock();
-        reset();
+        let _g = test_lock();
         enable();
         spanned("trace_test_export", || std::hint::black_box(2 + 2));
         disable();
@@ -376,22 +415,34 @@ mod tests {
     }
 
     #[test]
-    fn worker_threads_get_their_own_tracks() {
-        let _g = lock();
-        reset();
+    fn drain_clears_events_but_keeps_counts() {
+        let _g = test_lock();
         enable();
+        spanned("trace_test_drain", || std::hint::black_box(3 + 3));
+        disable();
+        let doc = drain_thread_chrome_json().expect("this thread recorded an event");
+        assert!(doc.contains("\"trace_test_drain\""));
+        assert!(drain_thread_chrome_json().is_none());
+        assert_eq!(stat("trace_test_drain").unwrap().count, 1);
+        reset();
+    }
+
+    #[test]
+    fn exited_threads_fold_into_the_registry() {
+        let _g = test_lock();
         let handles: Vec<_> = (0..2)
             .map(|_| {
-                std::thread::spawn(|| spanned("trace_test_worker", || std::hint::black_box(1 + 1)))
+                std::thread::spawn(|| {
+                    spanned("trace_test_worker", || std::hint::black_box(1 + 1));
+                    LOCAL.with(|local| Arc::downgrade(&local.0))
+                })
             })
             .collect();
         for h in handles {
-            h.join().unwrap();
+            let buf = h.join().unwrap();
+            assert!(buf.upgrade().is_none(), "exited thread left its buffer");
         }
-        disable();
-        let st = stats();
-        let w = st.iter().find(|s| s.label == "trace_test_worker").unwrap();
-        assert_eq!(w.count, 2);
+        assert_eq!(stat("trace_test_worker").unwrap().count, 2);
         reset();
     }
 }

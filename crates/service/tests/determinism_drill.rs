@@ -2,7 +2,9 @@
 //! `aerothermod` daemon — killed mid-job, restarted, and resumed — must
 //! leave a store bitwise identical (order-normalized) to a direct
 //! in-process [`run_sweep`] of the same plan. Plus: the resident
-//! surrogate table must survive across requests (built once, reused).
+//! surrogate table must survive across requests (built once, reused), a
+//! hostile request line must get an error rather than kill the daemon,
+//! and the `metrics` op must expose every span label as a timing.
 
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
@@ -287,4 +289,55 @@ fn resident_surrogate_serves_repeat_batches_without_rebuilding() {
 
     client2.shutdown().expect("clean shutdown");
     daemon.wait().expect("daemon exits");
+}
+
+#[test]
+fn deeply_nested_request_is_refused_and_daemon_stays_up() {
+    let dirs = TestDirs::new("deep");
+    let socket = dirs.path("aerothermod.sock");
+    let mut daemon = spawn_daemon(&socket, &dirs.path("data"), &[]);
+    let mut client = connect(&socket);
+
+    let err = client
+        .call(&"[".repeat(100_000))
+        .expect_err("a 100 000-deep request must get ok:false");
+    assert!(err.to_string().contains("nesting"), "{err}");
+    client.ping().expect("the next ping still answers");
+
+    client.shutdown().expect("clean shutdown");
+    daemon.wait().expect("daemon exits after shutdown");
+}
+
+#[test]
+fn metrics_op_lists_every_span_label_as_a_timing() {
+    let dirs = TestDirs::new("timings");
+    let socket = dirs.path("aerothermod.sock");
+    let mut daemon = spawn_daemon(&socket, &dirs.path("data"), &[]);
+    let mut client = connect(&socket);
+
+    // One VSL case runs tridiagonal sweeps and equilibrium Newton solves.
+    let mut plan = smoke_plan();
+    plan.cases.retain(|c| c.id == "vsl-air9");
+    let job = client
+        .submit(&plan, Some(1), None)
+        .expect("submit accepted");
+    let st = client.wait(&job, Duration::from_secs(300)).expect("finish");
+    assert_eq!(phase_of(&st), "completed");
+
+    let v = client.metrics("json").expect("metrics served");
+    let timings = v
+        .get("metrics")
+        .and_then(|m| m.get("timings"))
+        .expect("timings member");
+    for label in ["newton_solve", "tridiag_solve"] {
+        let calls = timings
+            .get(label)
+            .and_then(|t| t.get("calls"))
+            .and_then(Value::as_f64)
+            .unwrap_or_else(|| panic!("no '{label}' timing in {timings:?}"));
+        assert!(calls > 0.0, "{label}: calls {calls}");
+    }
+
+    client.shutdown().expect("clean shutdown");
+    daemon.wait().expect("daemon exits after shutdown");
 }

@@ -26,7 +26,6 @@ use aerothermo_gas::transport::{mixture_conductivity, mixture_viscosity};
 use aerothermo_numerics::interp::MonotoneCubic;
 use aerothermo_numerics::telemetry::{RunTelemetry, SolverError};
 use aerothermo_numerics::tridiag::solve_tridiag;
-use rayon::prelude::*;
 
 /// VSL problem definition.
 #[derive(Debug, Clone)]
@@ -133,8 +132,11 @@ impl PropertyTable {
             .map(|s| s.name.to_string())
             .collect();
         let lam = aerothermo_radiation::wavelength_grid(0.2e-6, 1.1e-6, 240);
+        // Serial on purpose: each solve seeds from the calling thread's
+        // equilibrium warm-start cache, so a parallel map would make the
+        // table (and q_stag) depend on the thread count.
         let rows: Result<Vec<(f64, f64, f64, f64, f64)>, GasError> = ts
-            .par_iter()
+            .iter()
             .map(|&t| {
                 let st = gas.at_tp(t, p)?;
                 let mu = mixture_viscosity(gas.mixture(), t, &st.mass_fractions);
@@ -441,7 +443,8 @@ fn solve_scaled(
         });
     }
 
-    // Assemble stations with equilibrium compositions (parallel).
+    // Assemble stations with equilibrium compositions (serial, like the
+    // property table, so the warm-start seeds do not depend on threads).
     let y: Vec<f64> = xi.iter().map(|&s| s * delta).collect();
     let t: Vec<f64> = h.iter().map(|&hv| table.t(hv)).collect();
     let rho: Vec<f64> = t.iter().map(|&tv| table.rho_of_t.eval(tv)).collect();
@@ -450,7 +453,6 @@ fn solve_scaled(
         rv[i] = rv[i - 1] - (rho[i] * u_fn[i] + rho[i - 1] * u_fn[i - 1]) * (y[i] - y[i - 1]);
     }
     let stations: Result<Vec<VslStation>, GasError> = (0..n)
-        .into_par_iter()
         .map(|i| {
             let st = gas.at_tp(t[i], p_stag)?;
             Ok(VslStation {
@@ -1174,6 +1176,24 @@ mod tests {
         // Monotone temperature from wall to edge.
         let t_mid = sol.stations[sol.stations.len() / 2].temperature;
         assert!(t_mid > 1200.0 && t_mid < sol.t_edge * 1.05);
+    }
+
+    #[test]
+    fn q_stag_is_bitwise_independent_of_thread_count() {
+        let gas = air9_equilibrium();
+        let problem = shuttle_problem();
+        let run = |threads: usize| {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            pool.install(|| {
+                aerothermo_gas::reset_thread_warm_cache();
+                let sol = solve(&gas, &problem).unwrap();
+                (sol.q_conv.to_bits(), sol.standoff.to_bits())
+            })
+        };
+        assert_eq!(run(1), run(4));
     }
 
     #[test]
