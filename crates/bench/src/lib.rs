@@ -428,7 +428,7 @@ mod tests {
         assert!(json.contains("\\\"name\\\""));
         assert!(json.contains("\\n"));
         assert!(json.contains("[1, 0.5, null]"));
-        assert!(json.contains("\"newton_solves\""));
+        assert!(json.contains("\"newton_iterations\""));
         // The whole report must parse with the workspace JSON reader.
         let doc = json::parse(&json).expect("report JSON parses");
         assert_eq!(

@@ -15,7 +15,8 @@
 use crate::equilibrium::EquilibriumGas;
 use crate::model::GasModel;
 use aerothermo_numerics::interp::BilinearTable;
-use aerothermo_numerics::telemetry::{RunTelemetry, SolverError};
+use aerothermo_numerics::telemetry::SolverError;
+use aerothermo_numerics::trace;
 use rayon::prelude::*;
 
 /// Resolution and range options for [`EqTable::build`].
@@ -136,20 +137,6 @@ impl EqTable {
     /// # Errors
     /// Propagates equilibrium-solver failures with the offending `(T, ρ)`.
     pub fn build(gas: &EquilibriumGas, opts: &EqTableOptions) -> Result<Self, SolverError> {
-        Self::build_with_telemetry(gas, opts).map(|(table, _)| table)
-    }
-
-    /// [`EqTable::build`] that also returns the run's telemetry: the
-    /// `eq_table_rows` phase timing and the equilibrium-state counter delta
-    /// attributable to the build.
-    ///
-    /// # Errors
-    /// Same as [`EqTable::build`].
-    pub fn build_with_telemetry(
-        gas: &EquilibriumGas,
-        opts: &EqTableOptions,
-    ) -> Result<(Self, RunTelemetry), SolverError> {
-        let mut telemetry = RunTelemetry::new();
         if opts.n_rho < 2 || opts.n_e < 2 || opts.n_t < 2 {
             return Err(SolverError::BadInput(format!(
                 "eq_table: need at least 2 nodes per axis (n_rho={}, n_e={}, n_t={})",
@@ -180,7 +167,7 @@ impl EqTable {
 
         // Per-row result: (lnp, T, y[ns]) on the common energy axis.
         type Row = (Vec<f64>, Vec<f64>, Vec<Vec<f64>>);
-        let rows: Result<Vec<Row>, String> = telemetry.time_phase("eq_table_rows", || {
+        let rows: Result<Vec<Row>, String> = trace::spanned("eq_table_rows", || {
             ln_rho
                 .par_iter()
                 .map(|&lr| {
@@ -297,7 +284,7 @@ impl EqTable {
             .iter()
             .map(|s| s.name.to_string())
             .collect();
-        let table = Self {
+        Ok(Self {
             lnp: BilinearTable::new(ln_rho.clone(), ln_e.clone(), lnp_v),
             temp: BilinearTable::new(ln_rho.clone(), ln_e.clone(), t_v),
             a2: BilinearTable::new(ln_rho.clone(), ln_e.clone(), a2_v),
@@ -309,8 +296,7 @@ impl EqTable {
             species_names,
             e_range: opts.e_range,
             rho_range: opts.rho_range,
-        };
-        Ok((table, telemetry))
+        })
     }
 
     /// Species names, table order.
@@ -538,6 +524,44 @@ mod tests {
         let s: f64 = y.iter().sum();
         assert!((s - 1.0).abs() < 1e-12);
         assert!(y.iter().all(|v| *v >= 0.0));
+    }
+
+    #[test]
+    fn build_is_bitwise_independent_of_thread_count() {
+        let gas = air9_equilibrium();
+        let opts = EqTableOptions {
+            n_rho: 16,
+            n_e: 24,
+            n_t: 48,
+            ..EqTableOptions::default()
+        };
+        // Every mass fraction, pressure and temperature on a 40×40 grid
+        // spanning the table, as raw bits.
+        let lookups = |threads: usize| -> Vec<u64> {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            let table = pool.install(|| EqTable::build(&gas, &opts)).unwrap();
+            let axis = |(lo, hi): (f64, f64), k: usize| lo * (hi / lo).powf(k as f64 / 39.0);
+            let mut bits = Vec::new();
+            for i in 0..40 {
+                for j in 0..40 {
+                    let (rho, e) = (axis(opts.rho_range, i), axis(opts.e_range, j));
+                    bits.extend(table.mass_fractions(rho, e).iter().map(|y| y.to_bits()));
+                    bits.push(table.pressure(rho, e).to_bits());
+                    bits.push(table.temperature(rho, e).to_bits());
+                }
+            }
+            bits
+        };
+        let serial = lookups(1);
+        for threads in [2, 4] {
+            assert!(
+                lookups(threads) == serial,
+                "{threads}-thread build differs from serial"
+            );
+        }
     }
 
     #[test]

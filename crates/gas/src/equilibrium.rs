@@ -606,10 +606,6 @@ impl EquilibriumGas {
         scratch: &mut SolveScratch,
         out: &mut EqState,
     ) -> Result<(), GasError> {
-        aerothermo_numerics::telemetry::counters::add(
-            aerothermo_numerics::telemetry::Counter::EquilibriumStates,
-            1,
-        );
         let _sp = aerothermo_numerics::trace::span("equilibrium_state");
         let ns = self.mix.len();
         // Borrow-juggle the φ buffer out of the scratch so the scratch can
@@ -830,7 +826,6 @@ impl EquilibriumGas {
         let mut out = Vec::with_capacity(states.len());
         let mut scratch = SolveScratch::default();
         for chunk in states.chunks(4) {
-            counters::add(Counter::EquilibriumBatches, 1);
             counters::add(Counter::EquilibriumBatchStates, chunk.len() as u64);
             counters::add(
                 match chunk.len() {
@@ -1314,8 +1309,9 @@ mod tests {
     fn batch_solve_is_bitwise_identical_to_individual_solves() {
         use aerothermo_numerics::telemetry::counters;
         use aerothermo_numerics::telemetry::Counter;
-        // Dedicated thread: the warm cache and the telemetry thread
-        // mirror are thread-local, so sibling tests cannot interfere.
+        use aerothermo_numerics::trace::thread_span_count;
+        // Dedicated thread: the warm cache and the thread's counters and
+        // span counts are thread-local, so sibling tests cannot interfere.
         std::thread::spawn(|| {
             let gas = air9_equilibrium();
             // 7 states = one full 4-lane chunk plus a 3-lane tail,
@@ -1332,6 +1328,8 @@ mod tests {
 
             warm_cache::clear_thread();
             let before = counters::thread_snapshot();
+            let batches0 = thread_span_count("equilibrium_batch");
+            let states0 = thread_span_count("equilibrium_state");
             let batched: Vec<EqState> = gas
                 .at_trho_batch(&states)
                 .into_iter()
@@ -1345,12 +1343,12 @@ mod tests {
             assert_eq!(stats_ind, stats_bat);
             // Batch bookkeeping: ceil(7/4) = 2 chunks, lane histogram
             // 4 + 3, all seven states counted.
-            assert_eq!(delta.get(Counter::EquilibriumBatches), 2);
+            assert_eq!(thread_span_count("equilibrium_batch") - batches0, 2);
             assert_eq!(delta.get(Counter::EquilibriumBatchStates), 7);
             assert_eq!(delta.get(Counter::EquilibriumBatchLanes4), 1);
             assert_eq!(delta.get(Counter::EquilibriumBatchLanes3), 1);
             assert_eq!(delta.get(Counter::EquilibriumBatchLanes1), 0);
-            assert_eq!(delta.get(Counter::EquilibriumStates), 7);
+            assert_eq!(thread_span_count("equilibrium_state") - states0, 7);
 
             for (a, b) in individual.iter().zip(&batched) {
                 assert_eq!(a.temperature.to_bits(), b.temperature.to_bits());
@@ -1384,6 +1382,7 @@ mod tests {
             n in 1_usize..9,
         ) {
             use aerothermo_numerics::telemetry::{counters, Counter};
+            use aerothermo_numerics::trace::thread_span_count;
             let states: Vec<(f64, f64)> = (0..n)
                 .map(|k| (t0 + dt * k as f64, 10.0_f64.powf(rho_exp)))
                 .collect();
@@ -1395,6 +1394,7 @@ mod tests {
 
                     warm_cache::clear_thread();
                     let c0 = counters::thread_snapshot();
+                    let b0 = thread_span_count("equilibrium_batch");
                     let fours: Vec<EqState> = gas
                         .at_trho_batch(&st)
                         .into_iter()
@@ -1402,23 +1402,26 @@ mod tests {
                         .collect();
                     let s_four = warm_cache::thread_stats();
                     let d_four = counters::thread_snapshot().delta_since(&c0);
+                    let b_four = thread_span_count("equilibrium_batch") - b0;
 
                     warm_cache::clear_thread();
                     let c1 = counters::thread_snapshot();
+                    let b1 = thread_span_count("equilibrium_batch");
                     let singles: Vec<EqState> = st
                         .iter()
                         .map(|&s| gas.at_trho_batch(&[s]).remove(0).unwrap())
                         .collect();
                     let s_one = warm_cache::thread_stats();
                     let d_one = counters::thread_snapshot().delta_since(&c1);
+                    let b_one = thread_span_count("equilibrium_batch") - b1;
 
                     (
                         fours,
                         singles,
                         [
-                            d_four.get(Counter::EquilibriumBatches),
+                            b_four,
                             d_four.get(Counter::EquilibriumBatchStates),
-                            d_one.get(Counter::EquilibriumBatches),
+                            b_one,
                             d_one.get(Counter::EquilibriumBatchStates),
                         ],
                         [

@@ -1,19 +1,20 @@
 //! Typed metrics: gauges and the log-bucketed timing histogram, plus the
 //! unified JSON / Prometheus-style exposition of every metric type.
 //!
-//! Where [`crate::telemetry::counters`] counts *how much work* ran, the
-//! timings answer distribution questions — "what is the p99 of an
-//! `euler_step` right now?" — the way a serving daemon must:
+//! Where [`crate::telemetry::counters`] count *how much work* ran, the
+//! timings count the *calls* and answer distribution questions — "what is
+//! the p99 of an `euler_step` right now?" — the way a serving daemon must:
 //!
-//! * **Timings**: every [`crate::trace::span`] label. Spans record each
-//!   duration into a [`Histogram`] (log-bucketed `u64` nanoseconds, 8
-//!   sub-buckets per octave, ≤ ~9 % relative bucket width); [`snapshot`]
-//!   reads them through [`crate::trace::stats`].
+//! * **Timings**: every [`crate::trace::span`] label. Spans count each call
+//!   and record its duration into a [`Histogram`] (log-bucketed `u64`
+//!   nanoseconds, 8 sub-buckets per octave, ≤ ~9 % relative bucket width).
 //! * **Gauges** ([`Gauge`]): last-write-wins `f64` values (current CFL
 //!   scale, sweep worker utilization) stored as atomic bit patterns.
-//! * **Counters**: the existing [`crate::telemetry::counters`] registry,
-//!   folded into this module's snapshot and exposition so one endpoint
-//!   serves all three metric types.
+//! * **Counters**: the [`crate::telemetry::counters`] work counters.
+//!
+//! Timings and counters live in the same per-thread [`crate::trace`]
+//! buffers, and [`snapshot`] reads both in one registry walk, so one
+//! endpoint serves all three metric types from one consistent view.
 //!
 //! # Determinism
 //!
@@ -31,7 +32,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::json::write_string;
-use crate::telemetry::counters;
 use crate::trace::{self, SpanStats};
 
 /// Sub-bucket resolution: 2^3 = 8 sub-buckets per power-of-two octave.
@@ -267,13 +267,15 @@ pub struct MetricsSnapshot {
 }
 
 /// Take a [`MetricsSnapshot`]. Order-invariant: the timings are
-/// independent of thread registration or recording order.
+/// independent of thread registration or recording order. Timings and
+/// counters come from one registry walk.
 #[must_use]
 pub fn snapshot() -> MetricsSnapshot {
+    let (timings, counts) = trace::stats_and_counts();
     MetricsSnapshot {
-        timings: trace::stats(),
+        timings,
         gauges: Gauge::ALL.iter().map(|&g| (g.name(), gauge(g))).collect(),
-        counters: counters::CounterSnapshot::take().iter().collect(),
+        counters: counts.iter().collect(),
     }
 }
 

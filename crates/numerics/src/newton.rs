@@ -91,7 +91,6 @@ pub fn newton_solve(
     x: &mut [f64],
     opts: &NewtonOptions,
 ) -> Result<NewtonResult, NewtonError> {
-    counters::add(Counter::NewtonSolves, 1);
     let _sp = trace::span("newton_solve");
     let n = x.len();
     let mut f = vec![0.0; n];

@@ -3,13 +3,14 @@
 //! Dependency-free instrumentation threaded through every solver and hot
 //! kernel in the workspace:
 //!
-//! - [`counters`]: process-wide named counters (Newton iterations,
-//!   tridiagonal solves, chemistry substeps, rejected ODE steps, …) backed
-//!   by relaxed atomics — one integer add per *solve*, not per cell, so the
-//!   overhead on the solver kernels is unmeasurable.
+//! - [`counters`]: named work counters (Newton iterations, faces
+//!   evaluated, chemistry substeps, cache hits, rejected ODE steps, …).
+//!   Counters count *work*; how many times a kernel was *called* is its
+//!   [`crate::trace::span`] count. Each thread's counters live in its
+//!   [`crate::trace`] buffer: an add takes no lock and touches no shared
+//!   cache line.
 //! - [`RunTelemetry`]: a per-run sink collecting monotonic wall-clock phase
-//!   timings, residual convergence histories, and the counter deltas
-//!   attributable to the run.
+//!   timings, residual convergence histories, and audit findings.
 //! - [`ResidualMonitor`]: per-iteration residual recording with early
 //!   NaN/Inf detection and sliding-window divergence detection, so an
 //!   unstable run terminates with [`SolverError::Diverged`] instead of
@@ -25,30 +26,25 @@
 
 use std::time::Instant;
 
-/// Named process-wide counters incremented by the numerical kernels.
+/// Named, monotone work counters incremented by the numerical kernels.
 pub mod counters {
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    /// The fixed set of instrumented kernel events.
+    /// The fixed set of instrumented kernel events. A kernel's call count
+    /// is its span count ([`crate::trace::stats`]), so no counter merely
+    /// counts calls — except `TridiagSolves`, which the benchmark reads.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     #[repr(usize)]
     pub enum Counter {
-        /// Damped-Newton solves started ([`crate::newton::newton_solve`]).
-        NewtonSolves,
         /// Total Newton iterations across all solves.
         NewtonIterations,
-        /// Scalar tridiagonal (Thomas) solves.
+        /// Scalar tridiagonal (Thomas) solves; equals the `tridiag_solve`
+        /// span count.
         TridiagSolves,
-        /// Block-tridiagonal solves.
-        BlockTridiagSolves,
         /// Chemistry operator-split substeps (reacting solver).
         ChemistrySubsteps,
         /// Accepted adaptive ODE steps (RKF45 + stiff backward Euler).
         OdeStepsAccepted,
         /// Rejected (error-controlled retry) adaptive ODE steps.
         OdeStepsRejected,
-        /// Equilibrium-composition state evaluations.
-        EquilibriumStates,
         /// Spectrum wavelength-point evaluations (radiation).
         SpectrumPoints,
         /// Face fluxes evaluated by the face-based residual assembly.
@@ -65,8 +61,6 @@ pub mod counters {
         /// Run-control rollback/retry events (checkpoint restores and
         /// single-shot backoff retries).
         RunRollbacks,
-        /// Micro-batched equilibrium Newton passes (each covers 1–4 states).
-        EquilibriumBatches,
         /// States evaluated through the micro-batched equilibrium path.
         EquilibriumBatchStates,
         /// Equilibrium batches that ran with exactly 1 lane.
@@ -95,19 +89,16 @@ pub mod counters {
     }
 
     /// Number of distinct counters.
-    pub const N_COUNTERS: usize = 25;
+    pub const N_COUNTERS: usize = 21;
 
     impl Counter {
         /// Every counter, in declaration order.
         pub const ALL: [Counter; N_COUNTERS] = [
-            Counter::NewtonSolves,
             Counter::NewtonIterations,
             Counter::TridiagSolves,
-            Counter::BlockTridiagSolves,
             Counter::ChemistrySubsteps,
             Counter::OdeStepsAccepted,
             Counter::OdeStepsRejected,
-            Counter::EquilibriumStates,
             Counter::SpectrumPoints,
             Counter::FacesEvaluated,
             Counter::EquilibriumCacheHits,
@@ -115,7 +106,6 @@ pub mod counters {
             Counter::NewtonWarmStarts,
             Counter::CheckpointsWritten,
             Counter::RunRollbacks,
-            Counter::EquilibriumBatches,
             Counter::EquilibriumBatchStates,
             Counter::EquilibriumBatchLanes1,
             Counter::EquilibriumBatchLanes2,
@@ -131,14 +121,11 @@ pub mod counters {
         #[must_use]
         pub fn name(self) -> &'static str {
             match self {
-                Counter::NewtonSolves => "newton_solves",
                 Counter::NewtonIterations => "newton_iterations",
                 Counter::TridiagSolves => "tridiag_solves",
-                Counter::BlockTridiagSolves => "block_tridiag_solves",
                 Counter::ChemistrySubsteps => "chemistry_substeps",
                 Counter::OdeStepsAccepted => "ode_steps_accepted",
                 Counter::OdeStepsRejected => "ode_steps_rejected",
-                Counter::EquilibriumStates => "equilibrium_states",
                 Counter::SpectrumPoints => "spectrum_points",
                 Counter::FacesEvaluated => "faces_evaluated",
                 Counter::EquilibriumCacheHits => "equilibrium_cache_hits",
@@ -146,7 +133,6 @@ pub mod counters {
                 Counter::NewtonWarmStarts => "newton_warm_starts",
                 Counter::CheckpointsWritten => "checkpoints_written",
                 Counter::RunRollbacks => "run_rollbacks",
-                Counter::EquilibriumBatches => "equilibrium_batches",
                 Counter::EquilibriumBatchStates => "equilibrium_batch_states",
                 Counter::EquilibriumBatchLanes1 => "equilibrium_batch_lanes_1",
                 Counter::EquilibriumBatchLanes2 => "equilibrium_batch_lanes_2",
@@ -160,97 +146,52 @@ pub mod counters {
         }
     }
 
-    #[allow(clippy::declare_interior_mutable_const)]
-    const COUNTER_ZERO: AtomicU64 = AtomicU64::new(0);
-    static COUNTERS: [AtomicU64; N_COUNTERS] = [COUNTER_ZERO; N_COUNTERS];
-
-    thread_local! {
-        /// Per-thread mirror of the global counters, incremented alongside
-        /// them. This is what makes honest *per-case* attribution possible
-        /// when many solver runs share the process (the sweep engine):
-        /// the global atomics interleave counts from concurrent cases,
-        /// while each thread's mirror only ever sees the work that
-        /// executed on that thread.
-        static THREAD_COUNTERS: [std::cell::Cell<u64>; N_COUNTERS] =
-            std::array::from_fn(|_| std::cell::Cell::new(0));
-    }
-
-    /// Add `n` to a counter (relaxed; safe from any thread). The calling
-    /// thread's mirror is incremented too (see [`super::TelemetryScope`]).
+    /// Add `n` to a counter of the calling thread (see
+    /// [`super::TelemetryScope`]); safe from any thread.
     #[inline]
     pub fn add(counter: Counter, n: u64) {
-        COUNTERS[counter as usize].fetch_add(n, Ordering::Relaxed);
-        // try_with: silently skip the mirror during TLS teardown.
-        let _ = THREAD_COUNTERS.try_with(|t| {
-            let c = &t[counter as usize];
-            c.set(c.get().wrapping_add(n));
-        });
+        crate::trace::add_count(counter as usize, n);
     }
 
-    /// Snapshot the *calling thread's* counter mirror (counts attributed
-    /// to kernels that executed on this thread since it started).
+    /// Snapshot the *calling thread's* counters (counts attributed to
+    /// kernels that executed on this thread since it started).
     #[must_use]
     pub fn thread_snapshot() -> CounterSnapshot {
-        let mut values = [0u64; N_COUNTERS];
-        let _ = THREAD_COUNTERS.try_with(|t| {
-            for (v, c) in values.iter_mut().zip(t.iter()) {
-                *v = c.get();
-            }
-        });
-        CounterSnapshot { values }
+        crate::trace::thread_counts()
     }
 
-    /// Current value of one counter.
+    /// Process-wide total of one counter.
     #[must_use]
     pub fn get(counter: Counter) -> u64 {
-        COUNTERS[counter as usize].load(Ordering::Relaxed)
-    }
-
-    /// Reset every counter to zero (tests and bench harnesses only).
-    pub fn reset_all() {
-        for c in &COUNTERS {
-            c.store(0, Ordering::Relaxed);
-        }
-    }
-
-    /// Zero the *calling thread's* counter mirror. Mirrors are `Cell`s and
-    /// cannot be reached cross-thread; per-case attribution on other
-    /// threads is windowed through [`super::TelemetryScope`] baselines, so
-    /// only the thread running back-to-back `#[test]` functions needs
-    /// this.
-    pub fn reset_thread_mirror() {
-        let _ = THREAD_COUNTERS.try_with(|t| {
-            for c in t.iter() {
-                c.set(0);
-            }
-        });
+        CounterSnapshot::take().get(counter)
     }
 
     /// A point-in-time copy of all counters.
     #[derive(Debug, Clone, Default, PartialEq, Eq)]
     pub struct CounterSnapshot {
-        values: [u64; N_COUNTERS],
+        pub(crate) values: [u64; N_COUNTERS],
     }
 
     impl CounterSnapshot {
-        /// Snapshot the current counter values.
+        /// Snapshot the process-wide totals: every live thread plus every
+        /// thread that has exited.
         #[must_use]
         pub fn take() -> Self {
-            let mut values = [0u64; N_COUNTERS];
-            for (v, c) in values.iter_mut().zip(&COUNTERS) {
-                *v = c.load(Ordering::Relaxed);
+            crate::trace::counts()
+        }
+
+        pub(crate) fn add(&mut self, other: &Self) {
+            for (v, o) in self.values.iter_mut().zip(other.values) {
+                *v = v.wrapping_add(o);
             }
-            Self { values }
         }
 
         /// Counters accumulated since `earlier` (saturating).
         #[must_use]
         pub fn delta_since(&self, earlier: &Self) -> Self {
-            let mut values = [0u64; N_COUNTERS];
-            for i in 0..N_COUNTERS {
-                values[i] = self.values[i].saturating_sub(earlier.values[i]);
+            Self {
+                values: std::array::from_fn(|i| self.values[i].saturating_sub(earlier.values[i])),
             }
-            Self { values }
         }
 
         /// Value of one counter in this snapshot.
@@ -270,34 +211,19 @@ pub mod counters {
 
 pub use counters::{Counter, CounterSnapshot};
 
-/// Reset *all* process-global observability state: kernel counters (global
-/// atomics plus the calling thread's mirror), every thread's trace buffer
-/// (span counts, timing histograms and timeline), and the gauges.
-///
-/// This is the between-`#[test]` reset: the test runner reuses threads
-/// across `#[test]` functions, so thread-local state bleeds between tests
-/// unless cleared here. Not for use mid-run.
-pub fn reset_all() {
-    counters::reset_all();
-    counters::reset_thread_mirror();
-    crate::trace::reset();
-    crate::metrics::reset_gauges();
-}
-
 /// Thread-scoped counter window for per-run attribution.
 ///
-/// The kernel counters are process-global atomics, so two solver runs
-/// executing concurrently (sweep-engine cases, parallel tests) interleave
-/// their counts and a global before/after delta lies about both. A
-/// `TelemetryScope` instead deltas the calling thread's *thread-local
-/// counter mirror*, which only ever accumulates work executed on that
-/// thread.
+/// Two solver runs executing concurrently (sweep-engine cases, parallel
+/// tests) interleave their work in the process-wide totals, so a global
+/// before/after delta lies about both. A `TelemetryScope` instead deltas
+/// the calling thread's own counters, which only ever accumulate work
+/// executed on that thread.
 ///
 /// # Attribution semantics
 ///
 /// Counts are attributed to the thread that *executes* the instrumented
 /// kernel, not the thread that requested it. Work a solver offloads to
-/// rayon pool threads therefore lands on those threads' mirrors and is
+/// rayon pool threads therefore lands on those threads' counters and is
 /// **not** folded back into the calling scope. Callers that need complete
 /// attribution must pin the run to the calling thread — e.g. wrap it in
 /// `rayon::ThreadPoolBuilder::new().num_threads(1)...install(..)`, which
@@ -306,15 +232,15 @@ pub fn reset_all() {
 /// single-threaded, and every count lands in the case's scope.
 ///
 /// Scopes on the same thread may nest (each holds its own baseline), and
-/// the global counters are untouched — process-wide totals and per-scope
-/// windows coexist.
+/// the process-wide totals are untouched — totals and per-scope windows
+/// coexist.
 #[derive(Debug, Clone)]
 pub struct TelemetryScope {
     baseline: CounterSnapshot,
 }
 
 impl TelemetryScope {
-    /// Open a scope: snapshot the calling thread's counter mirror.
+    /// Open a scope: snapshot the calling thread's counters.
     #[must_use]
     pub fn begin() -> Self {
         Self {
@@ -324,7 +250,7 @@ impl TelemetryScope {
 
     /// Counters accumulated *on this thread* since [`TelemetryScope::begin`].
     /// Call from the same thread that opened the scope; from any other
-    /// thread the delta is against that thread's unrelated mirror and is
+    /// thread the delta is against that thread's unrelated counters and is
     /// meaningless.
     #[must_use]
     pub fn thread_delta(&self) -> CounterSnapshot {
@@ -653,24 +579,22 @@ impl Default for ResidualMonitor {
     }
 }
 
-/// Per-run telemetry sink: wall-clock phases, residual histories, and the
-/// counter deltas attributable to the run.
+/// Per-run telemetry sink: wall-clock phases, residual histories and audit
+/// findings.
 #[derive(Debug, Clone)]
 pub struct RunTelemetry {
     started: Instant,
-    counters_at_start: CounterSnapshot,
     phases: Vec<(String, f64)>,
     histories: Vec<(String, Vec<f64>)>,
     audits: Vec<AuditFinding>,
 }
 
 impl RunTelemetry {
-    /// Start a telemetry scope now (snapshots the global counters).
+    /// Start a telemetry scope now.
     #[must_use]
     pub fn new() -> Self {
         Self {
             started: Instant::now(),
-            counters_at_start: CounterSnapshot::take(),
             phases: Vec::new(),
             histories: Vec::new(),
             audits: Vec::new(),
@@ -721,12 +645,6 @@ impl RunTelemetry {
     #[must_use]
     pub fn worst_audit_severity(&self) -> Option<AuditSeverity> {
         self.audits.iter().map(|a| a.severity).max()
-    }
-
-    /// Counter deltas accumulated since this scope started.
-    #[must_use]
-    pub fn counters(&self) -> CounterSnapshot {
-        CounterSnapshot::take().delta_since(&self.counters_at_start)
     }
 
     /// Wall-clock seconds since the scope started (monotonic).
@@ -791,8 +709,24 @@ mod tests {
         for (k, delta) in (1..=2u64).zip(&deltas) {
             assert_eq!(delta.get(Counter::ChemistrySubsteps), 10 * k);
             assert_eq!(delta.get(Counter::SpectrumPoints), 100 * k);
-            assert_eq!(delta.get(Counter::NewtonSolves), 0);
+            assert_eq!(delta.get(Counter::NewtonIterations), 0);
         }
+    }
+
+    #[test]
+    fn exited_threads_keep_their_counts() {
+        // No numerics kernel adds `SurrogateBuilds`, so sibling tests
+        // cannot move it: the delta is exactly this thread's adds.
+        let before = CounterSnapshot::take();
+        std::thread::spawn(|| counters::add(Counter::SurrogateBuilds, 5))
+            .join()
+            .unwrap();
+        let delta = CounterSnapshot::take().delta_since(&before);
+        assert_eq!(delta.get(Counter::SurrogateBuilds), 5);
+        assert_eq!(
+            counters::get(Counter::SurrogateBuilds),
+            CounterSnapshot::take().get(Counter::SurrogateBuilds)
+        );
     }
 
     #[test]

@@ -1,13 +1,16 @@
-//! Hierarchical RAII span profiler: the workspace's one timing primitive.
+//! Hierarchical RAII span profiler: the workspace's one timing primitive,
+//! and the per-thread registry that also stores the kernel counters.
 //!
-//! Where [`crate::telemetry::counters`] answers *how much work* a run did,
-//! this module answers *where the time went*: spans opened around the hot
-//! kernels (Newton solves, tridiagonal sweeps, chemistry substeps,
-//! equilibrium lookups, spectrum integration, solver step loops) count
-//! every call and record every duration into a per-label log-bucketed
-//! [`Histogram`], so each label carries calls, min/max/total and
-//! p50/p90/p99 at once. [`crate::metrics::snapshot`] exposes these as its
-//! `timings`.
+//! Spans count *calls* and time them; [`crate::telemetry::counters`]
+//! count *work* (iterations, faces, cache hits) and keep their values in
+//! the same per-thread buffers, so counts and timings come from one
+//! registry walk. Spans opened around the hot kernels (Newton solves,
+//! tridiagonal sweeps, chemistry substeps, equilibrium lookups, spectrum
+//! integration, solver step loops) count every call and record every
+//! duration into a per-label log-bucketed [`Histogram`], so each label
+//! carries calls, min/max/total and p50/p90/p99 at once. A span's call
+//! count is the count of that kernel: there is no separate "solves"
+//! counter. [`crate::metrics::snapshot`] exposes these as its `timings`.
 //!
 //! Counting and histograms are always on. The Chrome trace-event timeline
 //! is opt-in: while [`enable`] is in force every span also appends one
@@ -23,9 +26,11 @@
 //! 2. **Thread-aware.** Every thread (rayon workers included) records into
 //!    its own buffer; buffers register themselves in a global list so
 //!    [`stats`] and [`chrome_trace_json`] can merge them. A thread that
-//!    exits folds its histograms into the registry, so short-lived workers
-//!    leave no buffer behind (a thread holding timeline events keeps its
-//!    buffer, and its Perfetto track, until [`reset`]).
+//!    exits folds its histograms and counters into the registry, so
+//!    short-lived workers leave no buffer behind (a thread holding
+//!    timeline events keeps its buffer, and its Perfetto track, until
+//!    [`reset`]). Counter adds take no lock: each thread's counters are
+//!    atomics only that thread writes.
 //! 3. **Order-invariant merges.** Histogram merging is bucket-wise
 //!    addition plus min/max folds, so the merged statistics do not depend
 //!    on how observations were spread across threads.
@@ -35,11 +40,12 @@
 //! contained `[start, start+dur]` intervals per thread, which is exactly
 //! what the trace-event `"X"` (complete-event) phase encodes.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 use crate::metrics::Histogram;
+use crate::telemetry::counters::{CounterSnapshot, N_COUNTERS};
 
 /// Per-thread event cap: beyond this the timeline drops events (stats keep
 /// accumulating) so a pathological run cannot exhaust memory. 2^20 complete
@@ -130,11 +136,40 @@ impl ThreadBuf {
     }
 }
 
-/// Live thread buffers plus the histograms of threads that have exited.
+/// One thread's registry entry: its kernel counters, written only by the
+/// owning thread (so a relaxed load + store is an increment) and read by
+/// registry walks, beside its locked span buffer.
+#[derive(Default)]
+struct Slot {
+    counts: [AtomicU64; N_COUNTERS],
+    buf: Mutex<ThreadBuf>,
+}
+
+impl Slot {
+    fn counts(&self) -> CounterSnapshot {
+        CounterSnapshot {
+            values: std::array::from_fn(|i| self.counts[i].load(Ordering::Relaxed)),
+        }
+    }
+}
+
+/// Live thread slots plus the histograms and counters of threads that have
+/// exited.
 #[derive(Default)]
 struct Registry {
-    live: Vec<Arc<Mutex<ThreadBuf>>>,
+    live: Vec<Arc<Slot>>,
     retired: LabelHists,
+    retired_counts: CounterSnapshot,
+}
+
+impl Registry {
+    fn counts(&self) -> CounterSnapshot {
+        let mut total = self.retired_counts.clone();
+        for slot in &self.live {
+            total.add(&slot.counts());
+        }
+        total
+    }
 }
 
 fn registry() -> &'static Mutex<Registry> {
@@ -142,31 +177,55 @@ fn registry() -> &'static Mutex<Registry> {
     REGISTRY.get_or_init(|| Mutex::new(Registry::default()))
 }
 
-/// The calling thread's buffer; on thread exit its histograms move into
-/// [`Registry::retired`] so spawn-per-call workers do not pile up buffers.
-struct Local(Arc<Mutex<ThreadBuf>>);
+/// The calling thread's slot; on thread exit its histograms and counters
+/// move into the registry so spawn-per-call workers do not pile up slots.
+struct Local(Arc<Slot>);
 
 impl Drop for Local {
     fn drop(&mut self) {
         let mut reg = lock(registry());
-        let buf = lock(&self.0);
+        let buf = lock(&self.0.buf);
         if !buf.events.is_empty() {
             return;
         }
         merge_hists(&mut reg.retired, &buf.hists);
-        reg.live.retain(|b| !Arc::ptr_eq(b, &self.0));
+        reg.retired_counts.add(&self.0.counts());
+        reg.live.retain(|s| !Arc::ptr_eq(s, &self.0));
     }
 }
 
 thread_local! {
     static LOCAL: Local = {
-        let buf = Arc::new(Mutex::new(ThreadBuf {
-            tid: NEXT_TID.fetch_add(1, Ordering::Relaxed),
-            ..ThreadBuf::default()
-        }));
-        lock(registry()).live.push(Arc::clone(&buf));
-        Local(buf)
+        let slot = Arc::new(Slot {
+            buf: Mutex::new(ThreadBuf {
+                tid: NEXT_TID.fetch_add(1, Ordering::Relaxed),
+                ..ThreadBuf::default()
+            }),
+            ..Slot::default()
+        });
+        lock(registry()).live.push(Arc::clone(&slot));
+        Local(slot)
     };
+}
+
+/// Add `n` to counter `idx` of the calling thread. Counts made during
+/// thread teardown are dropped.
+#[inline]
+pub(crate) fn add_count(idx: usize, n: u64) {
+    let _ = LOCAL.try_with(|local| {
+        let c = &local.0.counts[idx];
+        c.store(c.load(Ordering::Relaxed).wrapping_add(n), Ordering::Relaxed);
+    });
+}
+
+/// The calling thread's counters (zero during thread teardown).
+pub(crate) fn thread_counts() -> CounterSnapshot {
+    LOCAL.try_with(|local| local.0.counts()).unwrap_or_default()
+}
+
+/// Counter totals over every thread, live and exited.
+pub(crate) fn counts() -> CounterSnapshot {
+    lock(registry()).counts()
 }
 
 /// Turn the timeline on (spans start appending Chrome trace events). Sets
@@ -189,15 +248,28 @@ pub fn is_enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Drop all recorded events, counts and histograms on every thread.
+/// Drop all recorded events, span counts and histograms on every thread.
+/// Kernel counters are monotone and stay.
 pub fn reset() {
     let mut reg = lock(registry());
     reg.retired.clear();
-    // Buffers only the registry still holds belong to exited threads that
-    // kept theirs for the timeline; with the events gone they can go too.
-    reg.live.retain(|b| Arc::strong_count(b) > 1);
-    for buf in &reg.live {
-        let mut b = lock(buf);
+    // Slots only the registry still holds belong to exited threads that
+    // kept theirs for the timeline; with the events gone they can go too,
+    // their counters folded into the retired totals.
+    let Registry {
+        live,
+        retired_counts,
+        ..
+    } = &mut *reg;
+    live.retain(|s| {
+        let alive = Arc::strong_count(s) > 1;
+        if !alive {
+            retired_counts.add(&s.counts());
+        }
+        alive
+    });
+    for slot in &reg.live {
+        let mut b = lock(&slot.buf);
         b.events.clear();
         b.hists.clear();
         b.dropped = 0;
@@ -217,7 +289,7 @@ impl Drop for Span {
         let dur_ns = self.start.elapsed().as_nanos() as u64;
         // `try_with`: a span closing during thread teardown is not counted.
         let _ = LOCAL.try_with(|local| {
-            let mut b = lock(&local.0);
+            let mut b = lock(&local.0.buf);
             b.record(self.label, dur_ns);
             if self.timeline {
                 let start_ns = self.start.duration_since(epoch()).as_nanos() as u64;
@@ -284,18 +356,40 @@ impl SpanStats {
 /// Aggregate statistics over every thread, sorted by total time descending.
 #[must_use]
 pub fn stats() -> Vec<SpanStats> {
+    stats_and_counts().0
+}
+
+/// [`stats`] and the counter totals, read in one registry walk.
+pub(crate) fn stats_and_counts() -> (Vec<SpanStats>, CounterSnapshot) {
     let reg = lock(registry());
     let mut merged = reg.retired.clone();
-    for buf in &reg.live {
-        merge_hists(&mut merged, &lock(buf).hists);
+    for slot in &reg.live {
+        merge_hists(&mut merged, &lock(&slot.buf).hists);
     }
+    let counts = reg.counts();
     drop(reg);
     let mut out: Vec<SpanStats> = merged
         .into_iter()
         .map(|(label, h)| SpanStats::from_hist(label, h))
         .collect();
     out.sort_by_key(|s| std::cmp::Reverse(s.total_ns));
-    out
+    (out, counts)
+}
+
+/// Completed `label` spans on the calling thread since its last
+/// [`reset`] (0 during thread teardown). The per-thread counterpart of a
+/// [`stats`] count, for attribution that concurrent threads cannot skew.
+#[must_use]
+pub fn thread_span_count(label: &str) -> u64 {
+    LOCAL
+        .try_with(|local| {
+            let b = lock(&local.0.buf);
+            b.hists
+                .iter()
+                .find(|(l, _)| *l == label)
+                .map_or(0, |(_, h)| h.count)
+        })
+        .unwrap_or(0)
 }
 
 const CHROME_HEADER: &str = "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n\
@@ -314,7 +408,7 @@ const CHROME_FOOTER: &str = "\n]}\n";
 #[must_use]
 pub fn drain_thread_chrome_json() -> Option<String> {
     LOCAL.with(|local| {
-        let mut b = lock(&local.0);
+        let mut b = lock(&local.0.buf);
         if b.events.is_empty() {
             return None;
         }
@@ -331,7 +425,11 @@ pub fn drain_thread_chrome_json() -> Option<String> {
 /// Timeline events dropped because a thread hit its event cap.
 #[must_use]
 pub fn dropped_events() -> u64 {
-    lock(registry()).live.iter().map(|b| lock(b).dropped).sum()
+    lock(registry())
+        .live
+        .iter()
+        .map(|s| lock(&s.buf).dropped)
+        .sum()
 }
 
 /// Export every recorded event as Chrome trace-event JSON (the
@@ -341,8 +439,8 @@ pub fn dropped_events() -> u64 {
 pub fn chrome_trace_json() -> String {
     let mut s = String::with_capacity(1 << 16);
     s.push_str(CHROME_HEADER);
-    for buf in &lock(registry()).live {
-        lock(buf).write_events(&mut s);
+    for slot in &lock(registry()).live {
+        lock(&slot.buf).write_events(&mut s);
     }
     s.push_str(CHROME_FOOTER);
     s
@@ -439,10 +537,30 @@ mod tests {
             })
             .collect();
         for h in handles {
-            let buf = h.join().unwrap();
-            assert!(buf.upgrade().is_none(), "exited thread left its buffer");
+            let slot = h.join().unwrap();
+            assert!(slot.upgrade().is_none(), "exited thread left its buffer");
         }
         assert_eq!(stat("trace_test_worker").unwrap().count, 2);
         reset();
+    }
+
+    #[test]
+    fn reset_keeps_the_counters_of_pruned_threads() {
+        use crate::telemetry::{counters, Counter};
+        let _g = test_lock();
+        let before = CounterSnapshot::take();
+        enable();
+        std::thread::spawn(|| {
+            // The timeline event keeps this thread's slot alive past exit.
+            spanned("trace_test_pruned", || std::hint::black_box(4 + 4));
+            counters::add(Counter::SurrogateExactFallbacks, 3);
+        })
+        .join()
+        .unwrap();
+        disable();
+        reset();
+        assert_eq!(stat("trace_test_pruned"), None, "reset clears span counts");
+        let delta = CounterSnapshot::take().delta_since(&before);
+        assert_eq!(delta.get(Counter::SurrogateExactFallbacks), 3);
     }
 }

@@ -76,7 +76,6 @@ pub fn solve_block_tridiag(
     n: usize,
     m: usize,
 ) -> Result<(), LinalgError> {
-    counters::add(Counter::BlockTridiagSolves, 1);
     let _sp = trace::span("block_tridiag_solve");
     let mm = m * m;
     if a.len() != n * mm || b.len() != n * mm || c.len() != n * mm || d.len() != n * m {

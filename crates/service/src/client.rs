@@ -56,10 +56,19 @@ impl Client {
     /// error message.
     ///
     /// # Errors
-    /// Transport failures, malformed responses, and server-side errors.
+    /// Transport failures, malformed responses, server-side errors, and
+    /// requests longer than [`crate::server::MAX_REQUEST_BYTES`] (refused
+    /// before sending).
     pub fn call(&mut self, request: &str) -> Result<Value, SolverError> {
         let io = |e: std::io::Error| SolverError::BadInput(format!("daemon socket: {e}"));
         debug_assert!(!request.contains('\n'), "requests must be single lines");
+        if request.len() > crate::server::MAX_REQUEST_BYTES {
+            return Err(SolverError::BadInput(format!(
+                "request of {} bytes exceeds the daemon's {}-byte limit",
+                request.len(),
+                crate::server::MAX_REQUEST_BYTES
+            )));
+        }
         self.stream.write_all(request.as_bytes()).map_err(io)?;
         self.stream.write_all(b"\n").map_err(io)?;
         self.stream.flush().map_err(io)?;

@@ -29,6 +29,11 @@ use aerothermo_sweep::{ShardSpec, ShardStrategy, SweepPlan};
 use crate::jobs::{Job, JobRegistry};
 use crate::ServiceConfig;
 
+/// Longest request line the daemon reads, newline excluded. [`crate::Client`]
+/// refuses to send anything longer; a connection that exceeds it gets one
+/// `ok:false` answer and is closed.
+pub const MAX_REQUEST_BYTES: usize = 16 << 20;
+
 /// Recover from poisoning instead of cascading (a panicking handler is
 /// already contained by `catch_unwind`; its locks must stay usable).
 fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -214,7 +219,21 @@ fn serve_connection(shared: &Arc<Shared>, mut stream: UnixStream) {
         Ok(s) => s,
         Err(_) => return,
     };
+    let mut reply = |resp: &str| {
+        out.write_all(resp.as_bytes())
+            .and_then(|()| out.write_all(b"\n"))
+            .and_then(|()| out.flush())
+            .is_ok()
+    };
+    let too_long = err_json(
+        &SolverError::BadInput(format!(
+            "request line exceeds the {MAX_REQUEST_BYTES}-byte limit; closing the connection"
+        ))
+        .to_string(),
+    );
     let mut pending: Vec<u8> = Vec::new();
+    // Length of the prefix of `pending` already known to hold no newline.
+    let mut scanned = 0;
     let mut chunk = [0u8; 4096];
     loop {
         if shared.stop.load(Ordering::SeqCst) {
@@ -224,21 +243,23 @@ fn serve_connection(shared: &Arc<Shared>, mut stream: UnixStream) {
             Ok(0) => return,
             Ok(n) => {
                 pending.extend_from_slice(&chunk[..n]);
-                while let Some(pos) = pending.iter().position(|&b| b == b'\n') {
-                    let line: Vec<u8> = pending.drain(..=pos).collect();
-                    let line = String::from_utf8_lossy(&line);
-                    let line = line.trim();
-                    if line.is_empty() {
-                        continue;
-                    }
-                    let resp = respond(shared, line);
-                    let write = out
-                        .write_all(resp.as_bytes())
-                        .and_then(|()| out.write_all(b"\n"))
-                        .and_then(|()| out.flush());
-                    if write.is_err() {
+                while let Some(pos) = pending[scanned..].iter().position(|&b| b == b'\n') {
+                    if scanned + pos > MAX_REQUEST_BYTES {
+                        reply(&too_long);
                         return;
                     }
+                    let line: Vec<u8> = pending.drain(..=scanned + pos).collect();
+                    scanned = 0;
+                    let line = String::from_utf8_lossy(&line);
+                    let line = line.trim();
+                    if !line.is_empty() && !reply(&respond(shared, line)) {
+                        return;
+                    }
+                }
+                scanned = pending.len();
+                if scanned > MAX_REQUEST_BYTES {
+                    reply(&too_long);
+                    return;
                 }
             }
             Err(e)

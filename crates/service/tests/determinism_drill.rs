@@ -2,9 +2,10 @@
 //! `aerothermod` daemon — killed mid-job, restarted, and resumed — must
 //! leave a store bitwise identical (order-normalized) to a direct
 //! in-process [`run_sweep`] of the same plan. Plus: the resident
-//! surrogate table must survive across requests (built once, reused), a
-//! hostile request line must get an error rather than kill the daemon,
-//! and the `metrics` op must expose every span label as a timing.
+//! surrogate table must survive across requests (built once, reused),
+//! hostile request lines (too deep, too long) must get an error rather
+//! than kill the daemon, and the `metrics` op must expose every span label
+//! as a timing.
 
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
@@ -303,6 +304,50 @@ fn deeply_nested_request_is_refused_and_daemon_stays_up() {
         .expect_err("a 100 000-deep request must get ok:false");
     assert!(err.to_string().contains("nesting"), "{err}");
     client.ping().expect("the next ping still answers");
+
+    client.shutdown().expect("clean shutdown");
+    daemon.wait().expect("daemon exits after shutdown");
+}
+
+#[test]
+fn oversized_request_line_is_refused_and_daemon_stays_up() {
+    use aerothermo_service::server::MAX_REQUEST_BYTES;
+    use std::io::{BufRead, BufReader, Write};
+    use std::os::unix::net::UnixStream;
+
+    let dirs = TestDirs::new("long");
+    let socket = dirs.path("aerothermod.sock");
+    let mut daemon = spawn_daemon(&socket, &dirs.path("data"), &[]);
+    let mut client = connect(&socket);
+
+    // One byte past the limit and no newline: the daemon must answer
+    // instead of buffering until memory runs out.
+    let mut raw = UnixStream::connect(&socket).expect("raw connection");
+    // A daemon that keeps buffering never answers: fail, do not hang.
+    raw.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+    raw.write_all(&vec![b'a'; MAX_REQUEST_BYTES + 1])
+        .expect("the daemon reads the whole oversized line");
+    let mut reader = BufReader::new(raw);
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("an error line");
+    let v = aerothermo_numerics::json::parse(line.trim()).expect("JSON error line");
+    assert!(matches!(v.get("ok"), Some(Value::Bool(false))), "{line}");
+    let msg = v.get("error").and_then(Value::as_str).unwrap_or("");
+    assert!(msg.contains(&MAX_REQUEST_BYTES.to_string()), "{msg}");
+    line.clear();
+    assert_eq!(
+        reader.read_line(&mut line).ok(),
+        Some(0),
+        "connection closed"
+    );
+
+    let err = client
+        .call(&"a".repeat(MAX_REQUEST_BYTES + 1))
+        .expect_err("the client refuses to send it");
+    assert!(err.to_string().contains("limit"), "{err}");
+    connect(&socket)
+        .ping()
+        .expect("a new connection still answers ping");
 
     client.shutdown().expect("clean shutdown");
     daemon.wait().expect("daemon exits after shutdown");

@@ -282,7 +282,7 @@ mod tests {
                 _ => None,
             },
             metrics: vec![("q_conv_w_m2".to_string(), 2e5)],
-            counters: vec![("newton_solves", 7)],
+            counters: vec![("newton_iterations", 7)],
             postmortem: None,
         }
     }
@@ -338,7 +338,7 @@ mod tests {
         // Summed counters include zero entries like the figure reports.
         assert_eq!(
             doc.get("counters")
-                .and_then(|c| c.get("newton_solves"))
+                .and_then(|c| c.get("newton_iterations"))
                 .and_then(Value::as_f64),
             Some(14.0)
         );

@@ -454,7 +454,7 @@ mod tests {
                 ("q_conv_w_m2".to_string(), 1.25e5),
                 ("nan".to_string(), f64::NAN),
             ],
-            counters: vec![("newton_solves", 42), ("newton_iterations", 0)],
+            counters: vec![("newton_iterations", 42), ("tridiag_solves", 0)],
             postmortem: match status {
                 CaseStatus::Failed => Some("{\"schema\": \"aerothermo-blackbox-v1\"}".to_string()),
                 _ => None,
@@ -476,7 +476,7 @@ mod tests {
             assert_eq!(back.metric("q_conv_w_m2"), Some(1.25e5));
             assert!(back.metric("nan").unwrap().is_nan(), "NaN survives as null");
             // Zero counters are elided on write.
-            assert_eq!(back.counters, vec![("newton_solves", 42)]);
+            assert_eq!(back.counters, vec![("newton_iterations", 42)]);
             assert_eq!(back.postmortem, rec.postmortem);
         }
     }
@@ -546,13 +546,13 @@ mod tests {
 
     #[test]
     fn unknown_counters_are_dropped_with_a_warning_count() {
-        let line = r#"{"id": "a", "status": "completed", "wall_secs": 0.1, "retries": 0, "worker": 0, "note": "", "error": null, "metrics": {}, "counters": {"newton_solves": 3, "counter_from_the_future": 7, "another_unknown": 1}}"#;
+        let line = r#"{"id": "a", "status": "completed", "wall_secs": 0.1, "retries": 0, "worker": 0, "note": "", "error": null, "metrics": {}, "counters": {"newton_iterations": 3, "counter_from_the_future": 7, "another_unknown": 1}}"#;
         let (rec, unknown) = CaseOutcome::parse_with_warnings(line).expect("parses");
-        assert_eq!(rec.counters, vec![("newton_solves", 3)]);
+        assert_eq!(rec.counters, vec![("newton_iterations", 3)]);
         assert_eq!(unknown, 2, "both unknown counters are counted, not lost");
 
         // Non-integer counter values are corruption.
-        let bad = line.replace("\"newton_solves\": 3", "\"newton_solves\": 3.5");
+        let bad = line.replace("\"newton_iterations\": 3", "\"newton_iterations\": 3.5");
         let err = CaseOutcome::parse(&bad).expect_err("fractional counter");
         assert!(err.to_string().contains("non-negative integer"), "{err}");
 
