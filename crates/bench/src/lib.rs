@@ -20,6 +20,7 @@
 use aerothermo_core::tables::Table;
 use aerothermo_numerics::json::{write_f64 as json_f64, write_string};
 use aerothermo_numerics::telemetry::{AuditFinding, AuditSeverity, CounterSnapshot, RunTelemetry};
+use aerothermo_numerics::trace;
 use std::time::Instant;
 
 pub mod cli;
@@ -74,16 +75,20 @@ pub fn run_options(
 /// Machine-readable run summary for a figure binary.
 ///
 /// Collects qualitative-check verdicts, named scalar metrics, kernel
-/// counter deltas, solver phase timings, and residual histories; `finish`
-/// writes them as JSON when `--report[=PATH]` was passed (CI parses and
-/// gates on this file).
+/// counter deltas, span timings, and residual histories; `finish` writes
+/// them as JSON when `--report[=PATH]` was passed (CI parses and gates on
+/// this file).
+///
+/// The report's `phases` are the calling thread's root spans
+/// ([`trace::thread_root_ns`]) since [`Report::new`], plus an
+/// `unattributed` remainder, so they sum to `elapsed_secs` exactly.
 pub struct Report {
     figure: String,
     started: Instant,
     counters_at_start: CounterSnapshot,
+    roots_at_start: Vec<(&'static str, u64)>,
     checks: Vec<(String, bool, String)>,
     metrics: Vec<(String, f64)>,
-    phases: Vec<(String, f64)>,
     histories: Vec<(String, Vec<f64>)>,
     audits: Vec<(String, AuditFinding)>,
 }
@@ -97,7 +102,7 @@ impl Report {
     #[must_use]
     pub fn new(figure: &str) -> Self {
         if trace_path().is_some() {
-            aerothermo_numerics::trace::enable();
+            trace::enable();
         }
         if let Some(every) = audit_cadence() {
             aerothermo_solvers::audit::enable(every);
@@ -106,9 +111,9 @@ impl Report {
             figure: figure.to_string(),
             started: Instant::now(),
             counters_at_start: CounterSnapshot::take(),
+            roots_at_start: trace::thread_root_ns(),
             checks: Vec::new(),
             metrics: Vec::new(),
-            phases: Vec::new(),
             histories: Vec::new(),
             audits: Vec::new(),
         }
@@ -126,12 +131,9 @@ impl Report {
         self.metrics.push((name.to_string(), value));
     }
 
-    /// Fold a solver's [`RunTelemetry`] into the report: its phases and
-    /// residual histories, prefixed with `label`.
+    /// Fold a solver's [`RunTelemetry`] into the report: its residual
+    /// histories, prefixed with `label`, and its audit findings.
     pub fn absorb_telemetry(&mut self, label: &str, telemetry: &RunTelemetry) {
-        for (name, secs) in telemetry.phases() {
-            self.phases.push((format!("{label}.{name}"), *secs));
-        }
         for (name, hist) in telemetry.histories() {
             self.histories
                 .push((format!("{label}.{name}"), hist.clone()));
@@ -176,16 +178,30 @@ impl Report {
         self.checks.iter().all(|(_, ok, _)| *ok) && self.hard_audit_failures() == 0
     }
 
+    /// This thread's root-span seconds per label since [`Report::new`],
+    /// then `unattributed`: the rest of `elapsed`.
+    fn phases(&self, elapsed: f64) -> Vec<(&'static str, f64)> {
+        let mut phases: Vec<(&'static str, f64)> = trace::thread_root_ns()
+            .into_iter()
+            .filter_map(|(label, ns)| {
+                let start = self.roots_at_start.iter().find(|r| r.0 == label);
+                let ns = ns.saturating_sub(start.map_or(0, |r| r.1));
+                (ns > 0).then_some((label, ns as f64 / 1e9))
+            })
+            .collect();
+        let attributed: f64 = phases.iter().map(|(_, secs)| secs).sum();
+        phases.push(("unattributed", elapsed - attributed));
+        phases
+    }
+
     /// Serialize to JSON (counters are deltas since the report started).
     #[must_use]
     pub fn to_json(&self) -> String {
+        let elapsed = self.started.elapsed().as_secs_f64();
         let mut s = String::with_capacity(4096);
         s.push_str("{\n");
         s.push_str(&format!("  \"figure\": {},\n", json_string(&self.figure)));
-        s.push_str(&format!(
-            "  \"elapsed_secs\": {},\n",
-            json_f64(self.started.elapsed().as_secs_f64())
-        ));
+        s.push_str(&format!("  \"elapsed_secs\": {},\n", json_f64(elapsed)));
         s.push_str(&format!("  \"all_green\": {},\n", self.all_green()));
         s.push_str("  \"checks\": [");
         for (k, (name, ok, detail)) in self.checks.iter().enumerate() {
@@ -221,10 +237,10 @@ impl Report {
         // threads merged, ns).
         s.push_str(&format!(
             "  \"timings\": {},\n",
-            aerothermo_numerics::metrics::timings_json(&aerothermo_numerics::trace::stats())
+            aerothermo_numerics::metrics::timings_json(&trace::stats())
         ));
         s.push_str("  \"phases\": {");
-        for (k, (name, v)) in self.phases.iter().enumerate() {
+        for (k, (name, v)) in self.phases(elapsed).iter().enumerate() {
             if k > 0 {
                 s.push(',');
             }
@@ -317,7 +333,7 @@ impl Report {
             eprintln!("# run report written to {path}");
         }
         if let Some(path) = trace_path() {
-            std::fs::write(&path, aerothermo_numerics::trace::chrome_trace_json())
+            std::fs::write(&path, trace::chrome_trace_json())
                 .unwrap_or_else(|e| panic!("cannot write trace {path}: {e}"));
             eprintln!("# chrome trace written to {path} (load in Perfetto / chrome://tracing)");
         }
@@ -436,6 +452,33 @@ mod tests {
             Some("test_fig")
         );
         assert_eq!(doc.get("all_green"), Some(&json::Value::Bool(false)));
+    }
+
+    #[test]
+    fn report_phases_reconcile_to_elapsed() {
+        let r = Report::new("test_fig");
+        trace::spanned("report_test_phase", || {
+            trace::spanned("report_test_nested", || std::hint::black_box(1))
+        });
+        let doc = json::parse(&r.to_json()).unwrap();
+        let elapsed = doc
+            .get("elapsed_secs")
+            .and_then(json::Value::as_f64)
+            .unwrap();
+        let phases = doc.get("phases").and_then(json::Value::as_object).unwrap();
+        let secs = |name: &str| phases.get(name).and_then(json::Value::as_f64);
+        assert!(secs("report_test_phase").unwrap() > 0.0);
+        assert_eq!(
+            secs("report_test_nested"),
+            None,
+            "nested spans are not phases"
+        );
+        assert!(secs("unattributed").unwrap() >= 0.0);
+        let sum: f64 = phases.values().filter_map(json::Value::as_f64).sum();
+        assert!(
+            (sum - elapsed).abs() <= 1e-9 * elapsed,
+            "{sum} vs {elapsed}"
+        );
     }
 
     #[test]

@@ -108,9 +108,9 @@ impl<T> Field2<T> {
         self.data.chunks_exact(self.nj.max(1)).enumerate()
     }
 
-    /// Mutable iterator over lines; pairs naturally with
-    /// `rayon::prelude::ParallelSliceMut::par_chunks_exact_mut` via
-    /// [`Field2::as_mut_slice`].
+    /// Mutable iterator over lines; the parallel counterpart is
+    /// `rayon::prelude::ParallelSliceMut::par_chunks_mut` over
+    /// [`Field2::as_mut_slice`] with chunk size `nj`.
     pub fn lines_mut(&mut self) -> impl Iterator<Item = (usize, &mut [T])> {
         self.data.chunks_exact_mut(self.nj.max(1)).enumerate()
     }

@@ -17,9 +17,9 @@
 //!   kernels (SSE2 behind the `simd` feature, hand-unrolled scalar
 //!   fallback otherwise, bitwise-identical semantics either way),
 //! * [`constants`] — physical constants in SI units,
-//! * [`telemetry`] — solver observability: kernel counters, phase timers,
-//!   residual monitors with divergence detection, physics-audit findings,
-//!   and the shared [`telemetry::SolverError`] type,
+//! * [`telemetry`] — solver observability: kernel counters, residual
+//!   histories and monitors with divergence detection, physics-audit
+//!   findings, and the shared [`telemetry::SolverError`] type,
 //! * [`trace`] — RAII hierarchical span profiler, the one timing
 //!   primitive: per-label call counts and duration histograms, plus an
 //!   opt-in Chrome trace-event timeline (`chrome://tracing` / Perfetto),

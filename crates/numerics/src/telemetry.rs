@@ -9,8 +9,11 @@
 //!   [`crate::trace::span`] count. Each thread's counters live in its
 //!   [`crate::trace`] buffer: an add takes no lock and touches no shared
 //!   cache line.
-//! - [`RunTelemetry`]: a per-run sink collecting monotonic wall-clock phase
-//!   timings, residual convergence histories, and audit findings.
+//! - [`RunTelemetry`]: a per-run sink collecting residual convergence
+//!   histories and audit findings. It keeps no clock: the one timer is
+//!   [`crate::trace::span`], and a run's phases (`euler_run`, `vsl_march`,
+//!   `runctl`, …) are spans like any kernel. A run report's `phases` are
+//!   the root spans of its thread ([`crate::trace::thread_root_ns`]).
 //! - [`ResidualMonitor`]: per-iteration residual recording with early
 //!   NaN/Inf detection and sliding-window divergence detection, so an
 //!   unstable run terminates with [`SolverError::Diverged`] instead of
@@ -23,8 +26,6 @@
 //!   replacing the previous bare `String` errors. `Display` output keeps
 //!   the wording of the old messages (lower-level `String` diagnostics pass
 //!   through [`SolverError::Numerical`] verbatim).
-
-use std::time::Instant;
 
 /// Named, monotone work counters incremented by the numerical kernels.
 pub mod counters {
@@ -579,43 +580,18 @@ impl Default for ResidualMonitor {
     }
 }
 
-/// Per-run telemetry sink: wall-clock phases, residual histories and audit
-/// findings.
-#[derive(Debug, Clone)]
+/// Per-run telemetry sink: residual histories and audit findings.
+#[derive(Debug, Clone, Default)]
 pub struct RunTelemetry {
-    started: Instant,
-    phases: Vec<(String, f64)>,
     histories: Vec<(String, Vec<f64>)>,
     audits: Vec<AuditFinding>,
 }
 
 impl RunTelemetry {
-    /// Start a telemetry scope now.
+    /// An empty sink.
     #[must_use]
     pub fn new() -> Self {
-        Self {
-            started: Instant::now(),
-            phases: Vec::new(),
-            histories: Vec::new(),
-            audits: Vec::new(),
-        }
-    }
-
-    /// Time a phase with the monotonic clock and record it.
-    pub fn time_phase<R>(&mut self, name: &str, f: impl FnOnce() -> R) -> R {
-        let t0 = Instant::now();
-        let out = f();
-        self.add_phase_secs(name, t0.elapsed().as_secs_f64());
-        out
-    }
-
-    /// Record a phase timing measured externally (accumulates on repeat).
-    pub fn add_phase_secs(&mut self, name: &str, secs: f64) {
-        if let Some(p) = self.phases.iter_mut().find(|(n, _)| n == name) {
-            p.1 += secs;
-        } else {
-            self.phases.push((name.to_string(), secs));
-        }
+        Self::default()
     }
 
     /// Attach a residual convergence history (replaces an existing history
@@ -647,28 +623,10 @@ impl RunTelemetry {
         self.audits.iter().map(|a| a.severity).max()
     }
 
-    /// Wall-clock seconds since the scope started (monotonic).
-    #[must_use]
-    pub fn elapsed_secs(&self) -> f64 {
-        self.started.elapsed().as_secs_f64()
-    }
-
-    /// Recorded `(name, seconds)` phases.
-    #[must_use]
-    pub fn phases(&self) -> &[(String, f64)] {
-        &self.phases
-    }
-
     /// Recorded `(name, residuals)` histories.
     #[must_use]
     pub fn histories(&self) -> &[(String, Vec<f64>)] {
         &self.histories
-    }
-}
-
-impl Default for RunTelemetry {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -882,16 +840,14 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_records_phases_and_histories() {
+    fn telemetry_records_histories() {
         let mut t = RunTelemetry::new();
-        let x = t.time_phase("setup", || 41 + 1);
-        assert_eq!(x, 42);
-        t.add_phase_secs("setup", 0.0);
         t.record_history("res", vec![1.0, 0.5]);
         t.record_history("res", vec![1.0, 0.5, 0.25]);
-        assert_eq!(t.phases().len(), 1);
-        assert_eq!(t.histories().len(), 1);
-        assert_eq!(t.histories()[0].1.len(), 3);
-        assert!(t.elapsed_secs() >= 0.0);
+        t.record_history("cfl", vec![1.0]);
+        assert_eq!(t.histories().len(), 2);
+        assert_eq!(t.histories()[0].0, "res");
+        assert_eq!(t.histories()[0].1, [1.0, 0.5, 0.25], "a rerun replaces");
+        assert_eq!(t.histories()[1].1, [1.0]);
     }
 }

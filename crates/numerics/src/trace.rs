@@ -39,7 +39,15 @@
 //! Nesting needs no explicit bookkeeping: RAII scopes produce properly
 //! contained `[start, start+dur]` intervals per thread, which is exactly
 //! what the trace-event `"X"` (complete-event) phase encodes.
+//!
+//! Each thread counts its open spans: one opened while none is open is a
+//! *root*, and its duration also adds to the thread's per-label root
+//! totals ([`thread_root_ns`]). Roots on one thread never overlap, so they
+//! sum to at most its wall time: the account a run report's `phases`
+//! reconcile against `elapsed_secs`.
 
+use std::cell::Cell;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
@@ -94,6 +102,8 @@ struct ThreadBuf {
     events: Vec<SpanEvent>,
     dropped: u64,
     hists: LabelHists,
+    /// Summed duration of this thread's root spans per label \[ns\].
+    roots: Vec<(&'static str, u64)>,
 }
 
 impl ThreadBuf {
@@ -105,6 +115,13 @@ impl ThreadBuf {
                 h.observe_ns(dur_ns);
                 self.hists.push((label, h));
             }
+        }
+    }
+
+    fn record_root(&mut self, label: &'static str, dur_ns: u64) {
+        match self.roots.iter_mut().find(|(l, _)| *l == label) {
+            Some((_, ns)) => *ns += dur_ns,
+            None => self.roots.push((label, dur_ns)),
         }
     }
 
@@ -195,6 +212,8 @@ impl Drop for Local {
 }
 
 thread_local! {
+    /// Spans open on this thread; a span opened at depth 0 is a root.
+    static DEPTH: Cell<u32> = const { Cell::new(0) };
     static LOCAL: Local = {
         let slot = Arc::new(Slot {
             buf: Mutex::new(ThreadBuf {
@@ -248,7 +267,8 @@ pub fn is_enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Drop all recorded events, span counts and histograms on every thread.
+/// Drop all recorded events, span counts, histograms and root totals on
+/// every thread.
 /// Kernel counters are monotone and stay.
 pub fn reset() {
     let mut reg = lock(registry());
@@ -272,25 +292,33 @@ pub fn reset() {
         let mut b = lock(&slot.buf);
         b.events.clear();
         b.hists.clear();
+        b.roots.clear();
         b.dropped = 0;
     }
 }
 
-/// RAII guard returned by [`span`]; records the span on drop.
+/// RAII guard returned by [`span`]; records the span on drop. `!Send`: it
+/// closes on the thread that opened it, whose open-span count it holds.
 #[must_use = "a span guard records on drop; binding it to _ closes it immediately"]
 pub struct Span {
     label: &'static str,
     start: Instant,
     timeline: bool,
+    root: bool,
+    _thread: PhantomData<*const ()>,
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
         let dur_ns = self.start.elapsed().as_nanos() as u64;
+        DEPTH.set(DEPTH.get() - 1);
         // `try_with`: a span closing during thread teardown is not counted.
         let _ = LOCAL.try_with(|local| {
             let mut b = lock(&local.0.buf);
             b.record(self.label, dur_ns);
+            if self.root {
+                b.record_root(self.label, dur_ns);
+            }
             if self.timeline {
                 let start_ns = self.start.duration_since(epoch()).as_nanos() as u64;
                 b.push_event(self.label, start_ns, dur_ns);
@@ -303,9 +331,13 @@ impl Drop for Span {
 /// be static strings — they are the aggregation key.
 #[inline]
 pub fn span(label: &'static str) -> Span {
+    let depth = DEPTH.get();
+    DEPTH.set(depth + 1);
     Span {
         label,
         timeline: is_enabled(),
+        root: depth == 0,
+        _thread: PhantomData,
         start: Instant::now(),
     }
 }
@@ -390,6 +422,15 @@ pub fn thread_span_count(label: &str) -> u64 {
                 .map_or(0, |(_, h)| h.count)
         })
         .unwrap_or(0)
+}
+
+/// The calling thread's root-span time \[ns\] per label since its last
+/// [`reset`], in first-seen order (empty during thread teardown).
+#[must_use]
+pub fn thread_root_ns() -> Vec<(&'static str, u64)> {
+    LOCAL
+        .try_with(|local| lock(&local.0.buf).roots.clone())
+        .unwrap_or_default()
 }
 
 const CHROME_HEADER: &str = "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n\
@@ -541,6 +582,70 @@ mod tests {
             assert!(slot.upgrade().is_none(), "exited thread left its buffer");
         }
         assert_eq!(stat("trace_test_worker").unwrap().count, 2);
+        reset();
+    }
+
+    fn root_ns(label: &str) -> Option<u64> {
+        thread_root_ns()
+            .into_iter()
+            .find_map(|(l, ns)| (l == label).then_some(ns))
+    }
+
+    #[test]
+    fn a_nested_span_is_not_a_root() {
+        let _g = test_lock();
+        {
+            let _outer = span("trace_test_root_outer");
+            let _inner = span("trace_test_root_inner");
+        }
+        assert!(root_ns("trace_test_root_outer").is_some());
+        assert_eq!(root_ns("trace_test_root_inner"), None);
+        // Closing the root reopens depth 0: the next span is a root again.
+        spanned("trace_test_root_inner", || std::hint::black_box(1));
+        assert!(root_ns("trace_test_root_inner").is_some());
+        reset();
+        assert!(thread_root_ns().is_empty(), "reset clears root totals");
+    }
+
+    #[test]
+    fn spawned_thread_roots_are_not_the_callers() {
+        let _g = test_lock();
+        let outer = span("trace_test_caller");
+        let theirs = std::thread::spawn(|| {
+            spanned("trace_test_spawned", || std::hint::black_box(1));
+            thread_root_ns()
+        })
+        .join()
+        .unwrap();
+        assert_eq!(theirs.len(), 1, "a fresh thread's first span is its root");
+        assert_eq!(theirs[0].0, "trace_test_spawned");
+        assert_eq!(root_ns("trace_test_spawned"), None);
+        drop(outer);
+        reset();
+    }
+
+    #[test]
+    fn roots_sum_to_at_most_the_wall_time() {
+        let _g = test_lock();
+        reset();
+        let t0 = Instant::now();
+        for _ in 0..50 {
+            let _a = span("trace_test_wall_a");
+            for _ in 0..3 {
+                spanned("trace_test_wall_b", || std::hint::black_box(2.0_f64.sqrt()));
+            }
+        }
+        spanned("trace_test_wall_b", || std::hint::black_box(1));
+        let wall_ns = t0.elapsed().as_nanos() as u64;
+        let roots = thread_root_ns();
+        assert_eq!(roots.len(), 2);
+        let sum: u64 = roots.iter().map(|(_, ns)| ns).sum();
+        assert!(sum <= wall_ns, "roots {sum} ns > wall {wall_ns} ns");
+        assert_eq!(
+            root_ns("trace_test_wall_a"),
+            Some(stat("trace_test_wall_a").unwrap().total_ns),
+            "every `a` span was a root"
+        );
         reset();
     }
 

@@ -249,7 +249,7 @@ pub struct EulerSolver<'a> {
     /// Run-control safety mode: force first-order reconstruction
     /// independent of the startup schedule.
     force_first_order: bool,
-    /// Run observability: phase timings, residual histories, counter deltas.
+    /// Run observability: residual histories and audit findings.
     pub telemetry: RunTelemetry,
     /// Face-based-assembly buffers (see [`EulerScratch`]).
     pub(crate) scratch: EulerScratch,
@@ -1155,7 +1155,7 @@ impl<'a> EulerSolver<'a> {
     /// value right after the startup phase, or `max_steps` elapse. Returns
     /// `(steps, final residual ratio)`.
     ///
-    /// The full residual history and the `euler_run` phase timing land in
+    /// Timed as the `euler_run` span; the full residual history lands in
     /// [`EulerSolver::telemetry`].
     ///
     /// # Errors
@@ -1164,7 +1164,7 @@ impl<'a> EulerSolver<'a> {
     /// [`SolverError::NonFinite`] with the first affected cell when NaN/Inf
     /// contaminates the state.
     pub fn run(&mut self, max_steps: usize, tol: f64) -> Result<(usize, f64), SolverError> {
-        let t0 = std::time::Instant::now();
+        let span = trace::span("euler_run");
         let mut monitor = ResidualMonitor::with_options(MonitorOptions {
             grace: self.opts.startup_steps + 25,
             ..MonitorOptions::default()
@@ -1208,8 +1208,7 @@ impl<'a> EulerSolver<'a> {
                 failure = Some(e);
             }
         }
-        self.telemetry
-            .add_phase_secs("euler_run", t0.elapsed().as_secs_f64());
+        drop(span);
         self.telemetry
             .record_history("density_residual", monitor.into_history());
         match failure {

@@ -435,15 +435,15 @@ impl<'a> NsSolver<'a> {
 
     /// Run to steady state; returns `(steps, residual ratio)`.
     ///
-    /// Residual history and the `ns_run` phase land in the underlying
-    /// [`EulerSolver::telemetry`] sink (`self.inviscid.telemetry`).
+    /// Timed as the `ns_run` span; the residual history lands in the
+    /// underlying [`EulerSolver::telemetry`] sink (`self.inviscid.telemetry`).
     ///
     /// # Errors
     /// [`SolverError::Diverged`] on detected residual blow-up,
     /// [`SolverError::NonFinite`] (with the first affected cell) on NaN/Inf
     /// contamination.
     pub fn run(&mut self, max_steps: usize, tol: f64) -> Result<(usize, f64), SolverError> {
-        let t0 = std::time::Instant::now();
+        let span = trace::span("ns_run");
         let mut monitor = ResidualMonitor::with_options(MonitorOptions {
             grace: self.startup_steps + 25,
             ..MonitorOptions::default()
@@ -485,9 +485,7 @@ impl<'a> NsSolver<'a> {
                 failure = Some(e);
             }
         }
-        self.inviscid
-            .telemetry
-            .add_phase_secs("ns_run", t0.elapsed().as_secs_f64());
+        drop(span);
         self.inviscid
             .telemetry
             .record_history("density_residual", monitor.into_history());

@@ -80,8 +80,7 @@ pub struct PnsSolver<'a> {
     solution: PnsSolution,
     /// Run-control CFL scale (1.0 = nominal; halved on rollback).
     cfl_scale: f64,
-    /// Run observability: phase timings, per-station iteration history,
-    /// counter deltas.
+    /// Run observability: per-station iteration history.
     pub telemetry: RunTelemetry,
 }
 
@@ -491,7 +490,7 @@ impl<'a> PnsSolver<'a> {
     /// [`SolverError::NonFinite`] with the first affected cell when NaN/Inf
     /// appears in a relaxed station column.
     pub fn march(&mut self, i_start: usize) -> Result<PnsSolution, SolverError> {
-        let t0 = std::time::Instant::now();
+        let span = trace::span("pns_march");
         let nci = self.grid.nci();
         self.next_station = i_start.max(1);
         self.solution = PnsSolution::default();
@@ -502,8 +501,7 @@ impl<'a> PnsSolver<'a> {
                 break;
             }
         }
-        self.telemetry
-            .add_phase_secs("pns_march", t0.elapsed().as_secs_f64());
+        drop(span);
         self.telemetry.record_history(
             "station_iterations",
             self.solution.iterations.iter().map(|&n| n as f64).collect(),

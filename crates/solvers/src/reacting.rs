@@ -280,7 +280,7 @@ pub struct ReactingSolver<'a> {
     steps: usize,
     /// Run-control CFL scale (1.0 = nominal; halved on rollback).
     cfl_scale: f64,
-    /// Run observability: phase timings, residual histories, counter deltas.
+    /// Run observability: residual histories and audit findings.
     pub telemetry: RunTelemetry,
     scratch: ReactingScratch,
 }
@@ -956,7 +956,7 @@ impl<'a> ReactingSolver<'a> {
 
     /// Run `n` steps; returns the last residual.
     ///
-    /// The residual history and the `reacting_run` phase land in
+    /// Timed as the `reacting_run` span; the residual history lands in
     /// [`ReactingSolver::telemetry`].
     ///
     /// # Errors
@@ -964,7 +964,7 @@ impl<'a> ReactingSolver<'a> {
     /// [`SolverError::NonFinite`] with the first contaminated cell/field on
     /// NaN/Inf.
     pub fn run(&mut self, n: usize) -> Result<f64, SolverError> {
-        let t0 = std::time::Instant::now();
+        let span = trace::span("reacting_run");
         let mut monitor = ResidualMonitor::with_options(MonitorOptions {
             grace: self.opts.startup_steps + 25,
             ..MonitorOptions::default()
@@ -994,8 +994,7 @@ impl<'a> ReactingSolver<'a> {
                 failure = Some(e);
             }
         }
-        self.telemetry
-            .add_phase_secs("reacting_run", t0.elapsed().as_secs_f64());
+        drop(span);
         self.telemetry
             .record_history("density_residual", monitor.into_history());
         match failure {

@@ -27,10 +27,10 @@
 //!   incremental state to checkpoint.
 
 use crate::flight;
-use aerothermo_numerics::metrics;
 use aerothermo_numerics::telemetry::{
     counters, Counter, MonitorOptions, ResidualMonitor, RunTelemetry, SolverError,
 };
+use aerothermo_numerics::{metrics, trace};
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
@@ -408,8 +408,8 @@ fn fresh_monitor(opts: &RunOptions) -> ResidualMonitor {
 /// Run a [`Steppable`] solver to convergence (or through all its units)
 /// under checkpoint/rollback control. See the module docs for the policy.
 ///
-/// Records `runctl_residual` and `runctl_cfl_scale` histories and the
-/// `runctl` phase timing in the solver's telemetry.
+/// Timed as the `runctl` span; records `runctl_residual` and
+/// `runctl_cfl_scale` histories in the solver's telemetry.
 ///
 /// # Errors
 /// Surfaces the underlying [`SolverError`] once the retry budget is
@@ -483,7 +483,7 @@ fn run_inner<S: Steppable + ?Sized>(
     opts: &RunOptions,
     fl: &mut FlightCtl<'_>,
 ) -> Result<RunOutcome, SolverError> {
-    let t0 = std::time::Instant::now();
+    let span = trace::span("runctl");
 
     if let Some(path) = &opts.restart_from {
         let (meta, snap) = read_restart(path)?;
@@ -666,7 +666,7 @@ fn run_inner<S: Steppable + ?Sized>(
     let units = solver.progress();
     residual_history.extend(monitor.into_history());
     let telemetry = solver.telemetry_mut();
-    telemetry.add_phase_secs("runctl", t0.elapsed().as_secs_f64());
+    drop(span);
     telemetry.record_history("runctl_residual", residual_history);
     telemetry.record_history("runctl_cfl_scale", cfl_history);
 

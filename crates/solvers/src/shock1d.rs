@@ -19,6 +19,7 @@ use aerothermo_numerics::constants::K_BOLTZMANN;
 use aerothermo_numerics::ode::{stiff_integrate, AdaptiveOptions};
 use aerothermo_numerics::roots::brent_expanding;
 use aerothermo_numerics::telemetry::{RunTelemetry, SolverError};
+use aerothermo_numerics::trace;
 use std::cell::Cell;
 
 /// Upstream (freestream, shock-frame) conditions and composition.
@@ -70,8 +71,8 @@ pub struct RelaxationSolution {
     pub points: Vec<RelaxationPoint>,
     /// The frozen post-shock translational temperature \[K\].
     pub t_frozen: f64,
-    /// Run observability: the march phase timing and (when auditing is
-    /// enabled) the algebraic-invariant audit findings.
+    /// Run observability: the algebraic-invariant audit findings (when
+    /// auditing is enabled).
     pub telemetry: RunTelemetry,
 }
 
@@ -147,7 +148,7 @@ fn solve_scaled(
         return Err(SolverError::BadInput("y1 length mismatch".to_string()));
     }
     let mut telemetry = RunTelemetry::new();
-    let march_t0 = std::time::Instant::now();
+    let span = trace::span("shock1d_march");
 
     // Frozen jump sets the flux invariants and the initial condition.
     let jump = frozen_shock(mix, &problem.y1, problem.t1, problem.p1, problem.u1)
@@ -297,7 +298,7 @@ fn solve_scaled(
         });
     }
 
-    telemetry.add_phase_secs("shock1d_march", march_t0.elapsed().as_secs_f64());
+    drop(span);
 
     // Algebraic-invariant audits over the assembled stations: the steady
     // shock-frame flow conserves mdot, total pressure, and total enthalpy

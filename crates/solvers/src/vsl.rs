@@ -25,6 +25,7 @@ use aerothermo_gas::error::GasError;
 use aerothermo_gas::transport::{mixture_conductivity, mixture_viscosity};
 use aerothermo_numerics::interp::MonotoneCubic;
 use aerothermo_numerics::telemetry::{RunTelemetry, SolverError};
+use aerothermo_numerics::trace;
 use aerothermo_numerics::tridiag::solve_tridiag;
 
 /// VSL problem definition.
@@ -85,8 +86,8 @@ pub struct VslSolution {
     pub stations: Vec<VslStation>,
     /// Species names (mixture order).
     pub species_names: Vec<String>,
-    /// Run observability: property-table / relaxation phase timings, the
-    /// standoff mass-balance residual history, and counter deltas.
+    /// Run observability: the standoff mass-balance residual history and
+    /// any audit findings.
     pub telemetry: RunTelemetry,
 }
 
@@ -192,9 +193,8 @@ impl PropertyTable {
 
 /// Solve the stagnation-line VSL for an equilibrium gas.
 ///
-/// The returned solution carries a [`RunTelemetry`] sink with the
-/// property-table and relaxation phase timings and the standoff
-/// mass-balance residual history.
+/// Timed as the `vsl_property_table` and `vsl_relax` spans; the returned
+/// solution's [`RunTelemetry`] carries the standoff mass-balance history.
 ///
 /// # Errors
 /// Propagates shock-jump, property-table, and convergence failures as
@@ -256,7 +256,7 @@ fn solve_scaled(
     // K) strain the equilibrium solver in C/H/N mixtures without being used.
     let t_lo = (0.6 * problem.t_wall).max(250.0);
     let t_hi = (t_edge * 1.35).min(45_000.0);
-    let table = telemetry.time_phase("vsl_property_table", || {
+    let table = trace::spanned("vsl_property_table", || {
         PropertyTable::build(gas, p_stag, t_lo, t_hi)
     })?;
 
@@ -282,7 +282,7 @@ fn solve_scaled(
     let mut delta_prev = delta;
     let mut mass_prev = f64::NAN;
     let mut mass_resid_hist: Vec<f64> = Vec::new();
-    let relax_t0 = std::time::Instant::now();
+    let relax = trace::span("vsl_relax");
 
     for _outer in 0..40 {
         // Inner Picard iterations at fixed δ.
@@ -433,7 +433,7 @@ fn solve_scaled(
         delta = new_delta;
     }
 
-    telemetry.add_phase_secs("vsl_relax", relax_t0.elapsed().as_secs_f64());
+    drop(relax);
     telemetry.record_history("standoff_mass_residual", mass_resid_hist.clone());
     if !converged {
         return Err(SolverError::IterationLimit {
@@ -563,12 +563,12 @@ pub struct VslMarchStation {
 }
 
 /// Result of a windward-forebody VSL march: the converged stations plus the
-/// run telemetry (march phase timing and any audit findings).
+/// run telemetry (station heating history and any audit findings).
 #[derive(Debug, Clone, Default)]
 pub struct VslMarchSolution {
     /// Converged stations ordered by arc length (non-converged ones skipped).
     pub stations: Vec<VslMarchStation>,
-    /// Phase timings, audit findings, and counter deltas for the march.
+    /// Station heating history and audit findings for the march.
     pub telemetry: RunTelemetry,
 }
 
@@ -602,7 +602,9 @@ pub struct VslMarcher<'a> {
     relax_scale: f64,
     stations: Vec<VslMarchStation>,
     telemetry: RunTelemetry,
-    march_t0: std::time::Instant,
+    /// The `vsl_march` span: open from [`VslMarcher::new`] until the
+    /// marcher drops, so a failed march is timed too.
+    _span: trace::Span,
 }
 
 impl<'a> VslMarcher<'a> {
@@ -618,7 +620,7 @@ impl<'a> VslMarcher<'a> {
         body: &'a dyn aerothermo_grid::bodies::Body,
         n_stations: usize,
     ) -> Result<Self, SolverError> {
-        let march_t0 = std::time::Instant::now();
+        let span = trace::span("vsl_march");
         // One freestream evaluation serves both the cold-gas molar mass and
         // the total enthalpy below (the latter used to silently fall back to
         // 0.0 on a second, failable evaluation).
@@ -669,7 +671,7 @@ impl<'a> VslMarcher<'a> {
             relax_scale: 1.0,
             stations: Vec::new(),
             telemetry: RunTelemetry::new(),
-            march_t0,
+            _span: span,
         })
     }
 
@@ -917,8 +919,8 @@ impl<'a> VslMarcher<'a> {
         }
     }
 
-    /// Close out the march: phase timing, heating history, and the physics
-    /// audits over the converged stations.
+    /// Close out the march: heating history and the physics audits over
+    /// the converged stations.
     ///
     /// # Errors
     /// [`SolverError::Numerical`] when no station converged; hard audit
@@ -930,8 +932,6 @@ impl<'a> VslMarcher<'a> {
                 "VSL march: no station converged".to_string(),
             ));
         }
-        self.telemetry
-            .add_phase_secs("vsl_march", self.march_t0.elapsed().as_secs_f64());
         self.telemetry.record_history(
             "station_q_conv",
             out.iter().map(|st| st.q_conv).collect::<Vec<_>>(),

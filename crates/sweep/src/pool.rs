@@ -374,6 +374,8 @@ fn execute_case(case: &CaseSpec, worker: usize, opts: &SweepOptions) -> CaseOutc
 /// # Errors
 /// [`SolverError::BadInput`] for plan validation and store I/O failures.
 pub fn run_sweep(plan: &SweepPlan, opts: &SweepOptions) -> Result<SweepReport, SolverError> {
+    // A root on the calling thread, so its report attributes the wait.
+    let _sp = trace::span("sweep");
     plan.validate()?;
     let t0 = Instant::now();
     let sink = match &opts.events_path {

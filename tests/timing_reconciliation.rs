@@ -5,10 +5,14 @@
 //! timings share one registry, so the one counter that mirrors a span
 //! (`tridiag_solves`) must equal that span's calls in the same snapshot.
 //!
+//! The solver phases are spans too: the outermost ones on the calling
+//! thread are its roots, which fit inside the calls' wall time.
+//!
 //! One test in its own binary: the profiler state is process-global, and
 //! a concurrent test would record spans between the three reads.
 
 use std::collections::BTreeMap;
+use std::time::Instant;
 
 use aerothermo::numerics::json::{self, Value};
 use aerothermo::numerics::{metrics, trace};
@@ -30,13 +34,32 @@ fn timings_spans_and_timeline_agree_per_label() {
     let u_inf = 8.0 * (1.4_f64 * 287.05 * t_inf).sqrt();
     let flow = FlowSpec::new(p_inf / (287.05 * t_inf), u_inf, t_inf, p_inf, 0.15, 300.0);
     trace::enable();
+    let t0 = Instant::now();
     run_case(&CaseSpec::new("recon", GasSpec::Air9, level, flow.clone())).expect("case runs");
     let vsl = LevelSpec::Vsl {
         n_points: 20,
         radiating: false,
     };
     run_case(&CaseSpec::new("recon-vsl", GasSpec::Air9, vsl, flow)).expect("VSL case runs");
+    let wall_ns = t0.elapsed().as_nanos() as u64;
     trace::disable();
+
+    // The solver phases are spans: the outermost ones on this thread are
+    // its roots, the kernels they enclose are not, and the roots never
+    // overlap, so they fit inside the wall time of the two calls.
+    let roots = trace::thread_root_ns();
+    let is_root = |label: &str| roots.iter().any(|&(l, _)| l == label);
+    for phase in ["runctl", "vsl_relax"] {
+        assert!(is_root(phase), "'{phase}' is not a root: {roots:?}");
+    }
+    for kernel in ["euler_step", "newton_solve"] {
+        assert!(!is_root(kernel), "'{kernel}' runs inside a phase");
+    }
+    let root_sum: u64 = roots.iter().map(|&(_, ns)| ns).sum();
+    assert!(
+        root_sum <= wall_ns,
+        "roots {root_sum} ns > wall {wall_ns} ns"
+    );
 
     let doc = json::parse(&metrics::snapshot().to_json()).expect("metrics JSON parses");
     let timings = doc.get("timings").and_then(Value::as_object).unwrap();
