@@ -540,6 +540,23 @@ mod tests {
     }
 
     #[test]
+    fn fig10_pns_q_stag_is_pinned() {
+        // Bitwise pin of the Fig. 10 PNS case through the public entry
+        // point: any change to the station relaxation must keep these bits.
+        let plan = crate::plan::method_matrix_plan();
+        let case = plan
+            .cases
+            .iter()
+            .find(|c| c.id == "pns")
+            .expect("fig10 plan has a pns case");
+        let res = run_case(case).expect("pns march");
+        assert_eq!(
+            res.get("q_stag_w_m2").unwrap().to_bits(),
+            0x4118_83c8_d465_2f56
+        );
+    }
+
+    #[test]
     fn bad_flow_is_a_typed_error() {
         let mut case = CaseSpec::new(
             "bad",
