@@ -392,8 +392,8 @@ impl<'a> EulerSolver<'a> {
     }
 
     /// AUSM+ flux across a face with area-weighted normal `(sx, sr)`;
-    /// returns flux·area.
-    fn ausm_flux(left: &Primitive, right: &Primitive, sx: f64, sr: f64) -> [f64; NEQ] {
+    /// returns flux·area. Shared with the PNS cross-flow faces.
+    pub(crate) fn ausm_flux(left: &Primitive, right: &Primitive, sx: f64, sr: f64) -> [f64; NEQ] {
         let area = (sx * sx + sr * sr).sqrt().max(1e-300);
         let nx = sx / area;
         let nr = sr / area;
