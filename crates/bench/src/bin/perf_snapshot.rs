@@ -1,12 +1,16 @@
-//! Deterministic performance snapshot of the workspace's hot kernels.
+//! Deterministic performance snapshot of the workspace's hot kernels (the
+//! one kernel harness).
 //!
 //! Runs a fixed suite of the kernels the figure binaries spend their time
 //! in — tridiagonal and block-tridiagonal sweeps, damped-Newton solves,
 //! stiff chemistry integration, direct equilibrium-composition solves,
 //! spectrum integration, Euler blunt-body steps, and the distributed-sweep
 //! bookkeeping (plan partitioning, shard-store federation) — under the
-//! span profiler, and writes the merged span statistics plus kernel
-//! counter totals as `BENCH_<label>.json`.
+//! span profiler. Then, on reset spans, a cost suite (experiment E11)
+//! times the NS step and the spectrum at 1 and 2 threads, Park rates,
+//! table lookups and the spectrum at three resolutions under labels of its
+//! own. The span statistics plus the first suite's kernel counter totals
+//! are written as `BENCH_<label>.json`.
 //!
 //! ```text
 //! perf_snapshot --label=baseline            # writes BENCH_baseline.json
@@ -20,9 +24,11 @@
 //! fastest calibration loop, so a uniformly faster machine does not
 //! masquerade as a perf improvement, nor a slower one as a regression
 //! (minima, not means — preemption noise only ever inflates a timing).
-//! The comparison exits nonzero when any kernel's normalized minimum
-//! regresses beyond `--tol` (default 0.25), which is how CI gates on
-//! `BENCH_baseline.json`.
+//! The comparison exits 1 when any kernel's normalized minimum regresses
+//! beyond `--tol` (default 0.25), which is how CI gates on
+//! `BENCH_baseline.json`, and 2 on a usage error. It exits 3 ("not
+//! comparable") when `rayon_threads` or `features` differ, or when a span
+//! both snapshots gate has a different `count`; `num_cpus` may differ.
 
 use aerothermo_atmosphere::trajectory::{EntryConditions, StopConditions, Vehicle};
 use aerothermo_atmosphere::us76::Us76;
@@ -33,6 +39,8 @@ use aerothermo_core::surrogate::{
 };
 use aerothermo_gas::eq_table::air9_table;
 use aerothermo_gas::equilibrium::air9_equilibrium;
+use aerothermo_gas::kinetics::park_air9;
+use aerothermo_gas::GasModel;
 use aerothermo_grid::bodies::Hemisphere;
 use aerothermo_grid::{stretch, StructuredGrid};
 use aerothermo_numerics::metrics;
@@ -42,13 +50,15 @@ use aerothermo_numerics::telemetry::CounterSnapshot;
 use aerothermo_numerics::trace;
 use aerothermo_numerics::tridiag::{solve_block_tridiag, solve_tridiag};
 use aerothermo_radiation::spectra::spectrum;
-use aerothermo_radiation::GasSample;
+use aerothermo_radiation::{wavelength_grid, GasSample};
 use aerothermo_solvers::euler2d::{Bc, BcSet, EulerOptions, EulerSolver};
 use aerothermo_solvers::ns2d::{NsSolver, Transport};
 use aerothermo_sweep::shard::{federate, partition};
 use aerothermo_sweep::spec::{FlowSpec, GasSpec, LevelSpec};
 use aerothermo_sweep::store::{CaseOutcome, CaseStatus, JsonlWriter};
 use aerothermo_sweep::{CaseSpec, ShardStrategy, SweepPlan};
+use std::collections::BTreeMap;
+use std::hint::black_box;
 
 fn arg_value(prefix: &str) -> Option<String> {
     std::env::args().find_map(|a| a.strip_prefix(prefix).map(str::to_string))
@@ -76,8 +86,20 @@ fn main() {
 
     run_suite();
 
-    let stats = trace::stats();
+    let mut stats = trace::stats();
     let counters = CounterSnapshot::take().delta_since(&counters0);
+    // The cost suite runs after the gated statistics and counters are
+    // taken, on reset spans, and only its own labels are kept: the solver
+    // spans it opens (`ns_step`, `spectrum_integration`, ...) gain no
+    // occurrence, so no gated minimum can move.
+    trace::reset();
+    run_cost_suite();
+    let cost: Vec<_> = trace::stats()
+        .into_iter()
+        .filter(|st| COST_LABELS.contains(&st.label))
+        .collect();
+    assert_eq!(cost.len(), COST_LABELS.len(), "every cost label is timed");
+    stats.extend(cost);
     // The calibration reference is the *fastest* loop occurrence: minima
     // are far more stable than means under scheduler noise, and the
     // comparator uses the same estimator for every span.
@@ -297,22 +319,8 @@ fn run_suite() {
     // Euler blunt-body steps on the E10 hemisphere problem (ideal gas and
     // equilibrium-table gas paths).
     {
-        let t = 230.0;
-        let p = 300.0;
-        let rho = p / (287.05 * t);
-        let a = (1.4_f64 * 287.05 * t).sqrt();
-        let fs = (rho, 8.0 * a, 0.0, p);
-        let bc = BcSet {
-            i_lo: Bc::SlipWall,
-            i_hi: Bc::Outflow,
-            j_lo: Bc::SlipWall,
-            j_hi: Bc::Inflow {
-                rho: fs.0,
-                ux: fs.1,
-                ur: fs.2,
-                p: fs.3,
-            },
-        };
+        let fs = freestream(230.0, 300.0, 8.0);
+        let bc = hemisphere_bc(fs);
         let body = Hemisphere::new(0.15);
         let dist = stretch::uniform(49);
         let grid = StructuredGrid::blunt_body(&body, 25, 49, &|sb| (0.3 + 0.2 * sb) * 0.15, &dist);
@@ -392,22 +400,8 @@ fn run_suite() {
     // Navier-Stokes blunt-body steps (inviscid assembly + viscous j-face
     // sweep + conduction wall) on a boundary-layer-stretched grid.
     {
-        let t = 220.0;
-        let p = 500.0;
-        let rho = p / (287.05 * t);
-        let a = (1.4_f64 * 287.05 * t).sqrt();
-        let fs = (rho, 6.0 * a, 0.0, p);
-        let bc = BcSet {
-            i_lo: Bc::SlipWall,
-            i_hi: Bc::Outflow,
-            j_lo: Bc::SlipWall,
-            j_hi: Bc::Inflow {
-                rho: fs.0,
-                ux: fs.1,
-                ur: fs.2,
-                p: fs.3,
-            },
-        };
+        let fs = freestream(220.0, 500.0, 6.0);
+        let bc = hemisphere_bc(fs);
         let rn = 0.1;
         let body = Hemisphere::new(rn);
         let dist = stretch::tanh_one_sided(33, 3.5);
@@ -506,12 +500,147 @@ fn run_suite() {
     }
 }
 
+/// Ideal-air freestream `(rho, u, v, p)` at temperature `t`, pressure `p`
+/// and Mach number `mach`.
+fn freestream(t: f64, p: f64, mach: f64) -> (f64, f64, f64, f64) {
+    let rho = p / (287.05 * t);
+    let a = (1.4_f64 * 287.05 * t).sqrt();
+    (rho, mach * a, 0.0, p)
+}
+
+/// Blunt-body boundary conditions: slip axis and wall, outflow, and the
+/// freestream `fs` entering through the outer boundary.
+fn hemisphere_bc(fs: (f64, f64, f64, f64)) -> BcSet {
+    BcSet {
+        i_lo: Bc::SlipWall,
+        i_hi: Bc::Outflow,
+        j_lo: Bc::SlipWall,
+        j_hi: Bc::Inflow {
+            rho: fs.0,
+            ux: fs.1,
+            ur: fs.2,
+            p: fs.3,
+        },
+    }
+}
+
+/// The cost suite's span labels, the only ones kept from its run.
+const COST_LABELS: [&str; 9] = [
+    "ns_step_threads_1",
+    "ns_step_threads_2",
+    "spectrum_threads_1",
+    "spectrum_threads_2",
+    "spectrum_bins_500",
+    "spectrum_bins_2000",
+    "spectrum_bins_8000",
+    "park_rates_x100",
+    "eq_table_lookup_x1000",
+];
+
+/// Thread scaling and kernel costs (experiment E11): the NS step and the
+/// spectrum at 1 and 2 rayon threads whatever the host, Park rates and
+/// equilibrium-table lookups in batches that lift each span well above
+/// [`MIN_COMPARABLE_NS`], and the spectrum at three resolutions.
+fn run_cost_suite() {
+    let pool = |n: usize| {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(n)
+            .build()
+            .expect("rayon pool")
+    };
+
+    // NS step on a 41x65 hemisphere grid, a fresh solver per thread count
+    // started past the impulsive start.
+    let fs = freestream(230.0, 300.0, 8.0);
+    let body = Hemisphere::new(0.15);
+    let dist = stretch::tanh_one_sided(65, 3.0);
+    let grid = StructuredGrid::blunt_body(&body, 41, 65, &|sb| (0.3 + 0.2 * sb) * 0.15, &dist);
+    let gas = aerothermo_gas::IdealGas::air();
+    for (threads, label) in [(1, "ns_step_threads_1"), (2, "ns_step_threads_2")] {
+        let mut solver = NsSolver::new(
+            &grid,
+            &gas,
+            hemisphere_bc(fs),
+            EulerOptions::default(),
+            fs,
+            Transport::air(),
+            300.0,
+        );
+        pool(threads).install(|| {
+            for _ in 0..200 {
+                solver.step();
+            }
+            for _ in 0..50 {
+                let _sp = trace::span(label);
+                black_box(solver.step());
+            }
+        });
+    }
+
+    // Spectrum of hot air: 4000 bins at 1 and 2 threads, then 500, 2000
+    // and 8000 bins on the ambient pool (0 threads).
+    for (threads, t, bins, label) in [
+        (1, 12_000.0, 4000, "spectrum_threads_1"),
+        (2, 12_000.0, 4000, "spectrum_threads_2"),
+        (0, 11_000.0, 500, "spectrum_bins_500"),
+        (0, 11_000.0, 2000, "spectrum_bins_2000"),
+        (0, 11_000.0, 8000, "spectrum_bins_8000"),
+    ] {
+        let densities = [("N2", 5e21), ("N2+", 5e18), ("N", 2e22), ("O", 6e21)];
+        let sample = GasSample::equilibrium(t, densities.map(|(sp, n)| (sp.into(), n)).to_vec());
+        let lam = wavelength_grid(0.2e-6, 1.0e-6, bins);
+        pool(threads).install(|| {
+            for _ in 0..10 {
+                let _sp = trace::span(label);
+                black_box(spectrum(&sample, &lam, 1e-9).total_emission());
+            }
+        });
+    }
+
+    // Park production rates of 9-species air, 100 evaluations per span.
+    let gas = air9_equilibrium();
+    let set = park_air9(gas.mixture());
+    let conc = [1e-3, 2e-4, 5e-5, 4e-4, 3e-4, 1e-6, 2e-6, 5e-6, 8e-6];
+    let mut wdot = [0.0; 9];
+    for _ in 0..20 {
+        let _sp = trace::span("park_rates_x100");
+        for _ in 0..100 {
+            set.production_rates(black_box(9000.0), black_box(7000.0), &conc, &mut wdot);
+            black_box(wdot[0]);
+        }
+    }
+
+    // Equilibrium-air table lookups (pressure, temperature and sound speed
+    // of one state), 1000 per span.
+    let table = air9_table();
+    for _ in 0..20 {
+        let _sp = trace::span("eq_table_lookup_x1000");
+        for _ in 0..1000 {
+            let (rho, e) = (black_box(0.01), black_box(5e6));
+            black_box(
+                table.pressure(rho, e) + table.temperature(rho, e) + table.sound_speed(rho, e),
+            );
+        }
+    }
+}
+
 /// Span labels whose baseline minimum is below this are skipped by the
 /// comparator: at sub-microsecond scales the span overhead itself and
 /// scheduler noise dominate any real change.
 const MIN_COMPARABLE_NS: f64 = 500.0;
 
-fn load_snapshot(path: &str) -> (f64, Vec<(String, f64)>) {
+/// Exit code of a comparison between snapshots that are not like for like.
+const NOT_COMPARABLE: i32 = 3;
+
+/// The parts of a snapshot the comparator reads.
+struct Snapshot {
+    calib: f64,
+    machine: Value,
+    /// `label -> (min_ns, count)` of every span but the calibration loop.
+    spans: BTreeMap<String, (f64, f64)>,
+}
+
+fn load_snapshot(path: &str) -> Snapshot {
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| panic!("cannot read snapshot {path}: {e}"));
     let doc = json::parse(&text).unwrap_or_else(|e| panic!("bad snapshot {path}: {e}"));
@@ -520,7 +649,7 @@ fn load_snapshot(path: &str) -> (f64, Vec<(String, f64)>) {
         .and_then(Value::as_f64)
         .filter(|c| *c > 0.0)
         .unwrap_or_else(|| panic!("snapshot {path} has no usable calibration_ns"));
-    let mut spans = Vec::new();
+    let mut spans = BTreeMap::new();
     if let Some(map) = doc.get("spans").and_then(Value::as_object) {
         for (label, st) in map {
             if label == "calibration" {
@@ -529,29 +658,89 @@ fn load_snapshot(path: &str) -> (f64, Vec<(String, f64)>) {
             // Compare fastest occurrences (same estimator as the
             // calibration reference): minima filter out preemption noise.
             if let Some(min) = st.get("min_ns").and_then(Value::as_f64) {
-                spans.push((label.clone(), min));
+                let count = st.get("count").and_then(Value::as_f64).unwrap_or(0.0);
+                spans.insert(label.clone(), (min, count));
             }
         }
     }
-    (calib, spans)
+    let machine = doc.get("machine").cloned().unwrap_or(Value::Null);
+    Snapshot {
+        calib,
+        machine,
+        spans,
+    }
+}
+
+/// A machine-block field as it reads in the snapshot.
+fn show(v: Option<&Value>) -> String {
+    match v {
+        Some(Value::Number(x)) => x.to_string(),
+        Some(Value::Array(xs)) => format!(
+            "{:?}",
+            xs.iter().filter_map(Value::as_str).collect::<Vec<_>>()
+        ),
+        other => format!("{other:?}"),
+    }
+}
+
+/// Why two snapshots cannot be compared: a different rayon thread count
+/// or feature set, or a gated span timed a different number of times (a
+/// different suite). Host core counts may differ: the calibration span
+/// divides out host speed.
+fn unlike(base: &Snapshot, cand: &Snapshot) -> Vec<String> {
+    let mut why = Vec::new();
+    for field in ["rayon_threads", "features"] {
+        let (b, c) = (base.machine.get(field), cand.machine.get(field));
+        if b != c {
+            why.push(format!(
+                "machine.{field} differs: {} vs {}",
+                show(b),
+                show(c)
+            ));
+        }
+    }
+    for (label, (base_min, base_count)) in &base.spans {
+        if *base_min < MIN_COMPARABLE_NS {
+            continue;
+        }
+        if let Some((_, cand_count)) = cand.spans.get(label) {
+            if cand_count != base_count {
+                why.push(format!(
+                    "span {label} count differs: {base_count} vs {cand_count}"
+                ));
+            }
+        }
+    }
+    why
 }
 
 /// Compare two snapshots; returns the process exit code (0 = within
-/// tolerance, 1 = regression).
+/// tolerance, 1 = regression, [`NOT_COMPARABLE`] = unlike snapshots).
 fn compare(base_path: &str, cand_path: &str, tol: f64) -> i32 {
-    let (base_calib, base_spans) = load_snapshot(base_path);
-    let (cand_calib, cand_spans) = load_snapshot(cand_path);
+    let base = load_snapshot(base_path);
+    let cand = load_snapshot(cand_path);
+    let (base_calib, cand_calib) = (base.calib, cand.calib);
     println!(
-        "perf comparison: {base_path} -> {cand_path} (tol {:.0}%, calibration {base_calib:.0} -> {cand_calib:.0} ns)",
-        tol * 100.0
+        "perf comparison: {base_path} -> {cand_path} (tol {:.0}%, calibration {base_calib:.0} -> {cand_calib:.0} ns, num_cpus {} -> {})",
+        tol * 100.0,
+        show(base.machine.get("num_cpus")),
+        show(cand.machine.get("num_cpus"))
     );
+    let why = unlike(&base, &cand);
+    if !why.is_empty() {
+        for w in &why {
+            eprintln!("  {w}");
+        }
+        eprintln!("NOT COMPARABLE: the snapshots were taken under different configurations");
+        return NOT_COMPARABLE;
+    }
     let mut regressions = 0usize;
-    for (label, base_min) in &base_spans {
+    for (label, (base_min, _)) in &base.spans {
         if *base_min < MIN_COMPARABLE_NS {
             println!("  {label:<24} skipped (baseline min {base_min:.0} ns below noise floor)");
             continue;
         }
-        let Some((_, cand_min)) = cand_spans.iter().find(|(l, _)| l == label) else {
+        let Some((cand_min, _)) = cand.spans.get(label) else {
             println!("  {label:<24} MISSING from candidate snapshot");
             regressions += 1;
             continue;
@@ -569,8 +758,8 @@ fn compare(base_path: &str, cand_path: &str, tol: f64) -> i32 {
             "  {label:<24} {base_min:>10.0} -> {cand_min:>10.0} ns  normalized x{ratio:.2}  {verdict}"
         );
     }
-    for (label, _) in &cand_spans {
-        if !base_spans.iter().any(|(l, _)| l == label) {
+    for label in cand.spans.keys() {
+        if !base.spans.contains_key(label) {
             println!("  {label:<24} new span (no baseline; not gated)");
         }
     }
@@ -583,5 +772,54 @@ fn compare(base_path: &str, cand_path: &str, tol: f64) -> i32 {
     } else {
         println!("PASS: no kernel regressed beyond {:.0}%", tol * 100.0);
         0
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A minimal snapshot file with one gated span.
+    fn write_snapshot(name: &str, cpus: u32, threads: u32, features: &str, count: u32) -> String {
+        let path = std::env::temp_dir()
+            .join(format!("perf-compare-{}-{name}.json", std::process::id()))
+            .to_str()
+            .unwrap()
+            .to_string();
+        let doc = format!(
+            "{{\"machine\": {{\"num_cpus\": {cpus}, \"rayon_threads\": {threads}, \
+             \"features\": [{features}]}}, \"calibration_ns\": 1000000, \"spans\": {{\
+             \"ns_step\": {{\"count\": {count}, \"min_ns\": 100000}}}}}}"
+        );
+        std::fs::write(&path, doc).unwrap();
+        path
+    }
+
+    #[test]
+    fn unlike_snapshots_are_not_comparable() {
+        let base = write_snapshot("base", 1, 1, "", 120);
+        let cases = [
+            (
+                "threads",
+                write_snapshot("threads", 1, 2, "", 120),
+                NOT_COMPARABLE,
+            ),
+            (
+                "simd",
+                write_snapshot("simd", 1, 1, "\"sse2\"", 120),
+                NOT_COMPARABLE,
+            ),
+            (
+                "count",
+                write_snapshot("count", 1, 1, "", 121),
+                NOT_COMPARABLE,
+            ),
+            ("cpus", write_snapshot("cpus", 2, 1, "", 120), 0),
+        ];
+        for (what, cand, code) in &cases {
+            assert_eq!(compare(&base, cand, 0.25), *code, "{what}");
+            std::fs::remove_file(cand).ok();
+        }
+        std::fs::remove_file(&base).ok();
     }
 }

@@ -18,7 +18,7 @@
 )]
 
 use aerothermo_core::tables::Table;
-use aerothermo_numerics::json::{write_f64 as json_f64, write_string};
+use aerothermo_numerics::json::{write_f64 as json_f64, write_string as json_string};
 use aerothermo_numerics::telemetry::{AuditFinding, AuditSeverity, CounterSnapshot, RunTelemetry};
 use aerothermo_numerics::trace;
 use std::time::Instant;
@@ -30,12 +30,6 @@ pub use cli::{
     audit_cadence, checkpoint_every, checkpoint_file, halt_after, inject_nan_at, max_retries,
     output_mode, report_path, restart_path, trace_path, OutputMode,
 };
-
-/// JSON string literal with minimal escaping (the numerics writer, by its
-/// historical local name).
-fn json_string(s: &str) -> String {
-    write_string(s)
-}
 
 /// Exit code for a deliberate `--halt-after` stop, distinguishable from
 /// success (0) and panics (101) so CI can assert the drill actually halted.

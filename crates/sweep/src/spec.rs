@@ -170,7 +170,9 @@ impl LevelSpec {
 
     /// Relative cost estimate used by the cheapest-first scheduler. The
     /// absolute scale is meaningless; only the ordering matters, and it
-    /// follows the paper's method-cost hierarchy.
+    /// follows the paper's method-cost hierarchy. Grid products are formed
+    /// in `f64`, so a huge plan cannot wrap to a small cost (the result is
+    /// the integer product exactly whenever that is below 2^53).
     #[must_use]
     pub fn cost_estimate(&self) -> f64 {
         match self {
@@ -189,11 +191,11 @@ impl LevelSpec {
             }
             LevelSpec::EulerBl {
                 ni, nj, max_steps, ..
-            } => 0.05 * (*ni * *nj * *max_steps) as f64,
-            LevelSpec::Pns { ni, nj, .. } => 2.0 * (*ni * *nj) as f64,
+            } => 0.05 * (*ni as f64 * *nj as f64 * *max_steps as f64),
+            LevelSpec::Pns { ni, nj, .. } => 2.0 * (*ni as f64 * *nj as f64),
             LevelSpec::Ns {
                 ni, nj, max_steps, ..
-            } => 0.1 * (*ni * *nj * *max_steps) as f64,
+            } => 0.1 * (*ni as f64 * *nj as f64 * *max_steps as f64),
         }
     }
 
@@ -643,5 +645,25 @@ mod tests {
         }
         .cost_estimate();
         assert!(corr < vsl && vsl < ebl && ebl < ns);
+    }
+
+    #[test]
+    fn huge_grid_cost_does_not_wrap() {
+        let huge = LevelSpec::Ns {
+            ni: 1 << 20,
+            nj: 1 << 20,
+            max_steps: 1 << 30,
+            tol: 1e-9,
+        }
+        .cost_estimate();
+        assert_eq!(huge, 0.1 * 2f64.powi(70));
+        let small = LevelSpec::Ns {
+            ni: 64,
+            nj: 64,
+            max_steps: 16000,
+            tol: 1e-9,
+        }
+        .cost_estimate();
+        assert!(huge > small);
     }
 }
